@@ -15,7 +15,9 @@ checkout of the repository).
 
 The measuring happens in fresh child processes (``child.py``), one per
 setup probe and per round, run one after another: all load is closed
-loop.  See ``README.md`` for the workloads and metrics.
+loop.  End-to-end times are scaled to a reference host speed measured
+next to every timed span (``yardstick.py``).  See ``README.md`` for
+the workloads and metrics.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from yardstick import yardstick_s
+
 HERE = Path(__file__).resolve().parent
 
 WORKLOADS = ("sim_core", "sim_stress", "paper_suite")
@@ -49,9 +53,14 @@ SCRUBBED_ENV = (
 #: bytecode cache); setup_s is their median.
 SETUP_PROBES = 9
 
+#: Cold passes per paper_suite round, each into its own empty cache
+#: (one pass takes about 17 s on a 2-vCPU x86 VM): a single pass's
+#: time varied by about 5% between runs of one seed.
+COLD_PASSES = 2
+
 #: Warm replays per paper_suite round, each in a fresh process (one
 #: replay takes about 2 s).
-WARM_REPLAYS = 5
+WARM_REPLAYS = 4
 
 #: Whole-run ceiling; the contract allows 180 s.
 DEADLINE_S = 170.0
@@ -120,21 +129,13 @@ PER_LAYER = (
         ("experiments.harness_s", "s"),
         ("runner.jobs1_cold_s", "s"),
         ("trace_overhead", "ratio"),
+        ("host.yardstick_s", "s"),
     )
 )
 
 
 class BenchError(Exception):
     """The benchmark could not run at all (exit code 2)."""
-
-
-def calibration_s() -> float:
-    """Seconds for a fixed pure-Python loop: a yardstick for the host."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(1_000_000):
-        total += i * i % 7
-    return time.perf_counter() - start
 
 
 class Children:
@@ -150,6 +151,8 @@ class Children:
         # Nothing may resolve a default cache under the home directory.
         env["XDG_CACHE_HOME"] = str(workdir / "xdg-cache")
         self.env = env
+        #: Every yardstick time the children measured.
+        self.yardsticks: list = []
 
     def run(self, mode: str, *extra: str) -> dict:
         command = [
@@ -181,7 +184,9 @@ class Children:
             raise BenchError(
                 f"{mode} process exited with {process.returncode}:\n{stderr[-4000:]}"
             )
-        return json.loads(stdout.strip().splitlines()[-1])
+        out = json.loads(stdout.strip().splitlines()[-1])
+        self.yardsticks += out.pop("yardstick_s")
+        return out
 
     def scratch_dir(self, prefix: str) -> str:
         return tempfile.mkdtemp(prefix=prefix, dir=self.workdir)
@@ -197,26 +202,48 @@ def sim_round(args, children: Children, pause=None) -> dict:
     return children.run("round", *inject_flag(args))
 
 
-def suite_round(args, children: Children, pause=None, traced: bool = False,
-                replays: int = WARM_REPLAYS) -> dict:
-    """A cold pass into a fresh disk cache, then warm replays from it.
+def median_time(passes) -> float:
+    """Sum over experiments of each one's median scaled time over the
+    passes, so a burst of host noise in one pass moves only what it hit."""
+    return sum(
+        statistics.median(p["rows"][experiment_id]["scaled_s"] for p in passes)
+        for experiment_id in passes[0]["rows"]
+    )
 
-    Each warm replay runs in its own process, as a user's second command
-    would: nothing of the cold pass stays resident in it.  ``pause`` runs
-    between processes (setup probes), spreading samples over the run.
+
+def suite_round(args, children: Children, pause=None, traced: bool = False,
+                colds: int = COLD_PASSES, replays: int = WARM_REPLAYS) -> dict:
+    """Cold passes, each into a fresh disk cache, then warm replays from
+    the first one's.
+
+    Each pass runs in its own process; a warm replay so runs as a user's
+    second command would, with nothing of the cold pass resident in it.
+    ``pause`` runs between processes (setup probes), spreading samples
+    over the run.
     """
-    cache_dir = children.scratch_dir("suite-")
-    flags = ("--cache-dir", cache_dir) + (("--traced",) if traced else ())
+    cache_dirs = [children.scratch_dir("suite-") for _ in range(colds)]
+    traced_flag = ("--traced",) if traced else ()
     try:
-        cold = children.run("pass", *flags)
+        cold_passes = []
+        for cache_dir in cache_dirs:
+            if cold_passes and pause is not None:
+                pause()
+            cold_passes.append(children.run("pass", "--cache-dir", cache_dir, *traced_flag))
         warms = []
         for _ in range(replays):
             if pause is not None:
                 pause()
-            warms.append(children.run("pass", *flags, *inject_flag(args)))
+            warms.append(children.run(
+                "pass", "--cache-dir", cache_dirs[0], *traced_flag, *inject_flag(args)
+            ))
     finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    failures = cold["failures"]
+        for cache_dir in cache_dirs:
+            shutil.rmtree(cache_dir, ignore_errors=True)
+    cold = cold_passes[0]
+    failures = [failure for run in cold_passes for failure in run["failures"]]
+    for other in cold_passes[1:]:
+        if other["result_digest"] != cold["result_digest"]:
+            failures.append("cold passes of one seed disagree on the result digest")
     for warm in warms:
         failures += warm["failures"]
         for experiment_id, row in warm["rows"].items():
@@ -225,12 +252,6 @@ def suite_round(args, children: Children, pause=None, traced: bool = False,
             elif warm["outputs"].get(experiment_id) != cold["outputs"].get(experiment_id):
                 failures.append(f"{experiment_id}: warm replay output differs from the cold pass")
     warm = warms[0]
-    # Each experiment counts with its median over the replays, so a
-    # burst of host noise during one replay moves only what it hit.
-    warm_s = sum(
-        statistics.median(w["rows"][experiment_id]["s"] for w in warms)
-        for experiment_id in warm["rows"]
-    )
     layers = {
         name: cold["layers"].get(name, 0) + warm["layers"].get(name, 0)
         for name in set(cold["layers"]) | set(warm["layers"])
@@ -243,16 +264,17 @@ def suite_round(args, children: Children, pause=None, traced: bool = False,
     for experiment_id, row in cold["rows"].items():
         layers[f"experiments.{experiment_id}.cold_s"] = row["s"]
         layers[f"experiments.{experiment_id}.simulations"] = row["simulations"]
+    cold_s = median_time(cold_passes)
     return {
-        "cold_s": cold["pass_s"],
-        "warm_replay_s": warm_s,
-        "requests_per_s": cold["simulated_requests"] / cold["pass_s"],
-        "peak_rss_mb": max(run["peak_rss_mb"] for run in [cold] + warms),
+        "cold_s": cold_s,
+        "warm_replay_s": median_time(warms),
+        "requests_per_s": cold["simulated_requests"] / cold_s,
+        "peak_rss_mb": max(run["peak_rss_mb"] for run in cold_passes + warms),
         "wall_s": cold["pass_s"] + warm["pass_s"],
         "layers": layers,
         "rows": cold["rows"],
         "result_digest": cold["result_digest"],
-        "attempted": cold["attempted"] + sum(w["attempted"] for w in warms),
+        "attempted": sum(run["attempted"] for run in cold_passes + warms),
         "failures": failures,
         "env": cold["env"],
     }
@@ -308,8 +330,8 @@ def trace(args, children: Children):
     """Traced run: one untraced round, one traced round (and, on
     paper_suite, the cold pass again at jobs=1)."""
     if args.workload == "paper_suite":
-        plain = suite_round(args, children, replays=1)
-        traced = suite_round(args, children, traced=True, replays=1)
+        plain = suite_round(args, children, colds=1, replays=1)
+        traced = suite_round(args, children, traced=True, colds=1, replays=1)
         serial_dir = children.scratch_dir("serial-")
         try:
             serial = children.run("pass", "--cache-dir", serial_dir, "--jobs", "1")
@@ -334,6 +356,7 @@ def trace(args, children: Children):
     if layers.get("runner.lookups"):
         layers["runner.dedup_ratio"] = layers["runner.simulations"] / layers["runner.lookups"]
     layers["trace_overhead"] = traced["wall_s"] / plain["wall_s"]
+    layers["host.yardstick_s"] = statistics.median(children.yardsticks)
     if plain.get("rows"):
         print("per-experiment cold pass (deltas around each call):")
         for experiment_id, row in plain["rows"].items():
@@ -368,15 +391,13 @@ def main(argv=None) -> int:
     deadline = time.monotonic() + DEADLINE_S
     workdir = root / ".perfbench_work" / f"{args.workload}-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
-    calibration = [calibration_s()]
+    children = Children(args, root, workdir, deadline)
     try:
-        children = Children(args, root, workdir, deadline)
         metrics, runs = (trace if args.trace else measure)(args, children)
     except BenchError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
     finally:
-        calibration.append(calibration_s())
         shutil.rmtree(workdir, ignore_errors=True)
         try:
             workdir.parent.rmdir()
@@ -395,7 +416,8 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "seed": args.seed,
-        "calibration_s": [round(seconds, 6) for seconds in calibration],
+        # Host speed over the run: quartiles of the yardstick's times.
+        "yardstick_s": [round(q, 6) for q in statistics.quantiles(children.yardsticks, n=4)],
         "scale": args.scale,
     }, sort_keys=True))
     for digest in sorted(digests):

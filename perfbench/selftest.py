@@ -7,8 +7,9 @@ Run from the repository root::
 It runs every workload once untraced and once traced with small inputs
 and checks that every metric prints with its unit, that ``failed_frac``
 is 0, that a corrupted warm replay counts as a failure, that
-``BENCHMARK.json`` names the metrics ``run.py`` reports, and that the
-benchmark refuses to run outside a checkout.  Takes about a minute.
+``BENCHMARK.json`` names the metrics ``run.py`` reports, that ``run.py``
+names every registered experiment, and that the benchmark refuses to
+run outside a checkout.  Takes about a minute.
 """
 
 from __future__ import annotations
@@ -84,6 +85,20 @@ def check_benchmark_json() -> None:
     print("ok  BENCHMARK.json matches run.py")
 
 
+def check_experiment_ids() -> None:
+    """paper_suite runs the live registry but reports only the ids
+    ``run.py`` lists; the two must not drift apart."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.experiments.registry import experiment_ids
+
+    if list(run.EXPERIMENT_IDS) != list(experiment_ids()):
+        raise SystemExit(
+            f"selftest FAILED: run.EXPERIMENT_IDS differs from the registry: "
+            f"{list(experiment_ids())}"
+        )
+    print("ok  run.py names every registered experiment")
+
+
 def check_outside_checkout() -> None:
     scratch = Path(tempfile.mkdtemp(prefix="bare-", dir=ROOT))
     try:
@@ -100,6 +115,7 @@ def check_outside_checkout() -> None:
 
 def main() -> int:
     check_benchmark_json()
+    check_experiment_ids()
     for workload in run.WORKLOADS:
         for trace in (0, 1):
             check_run(workload, trace)
