@@ -12,6 +12,7 @@ from typing import List, Optional
 from repro.config import SystemConfig
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.runner import configure_runner, default_jobs
+from repro.sim.engine import SCHEDULERS
 from repro.workloads import get_workload
 
 
@@ -81,11 +82,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("heap", "wheel", "batch"),
+        choices=SCHEDULERS,
         default=None,
         help="event-scheduler backend (exported as REPRO_ENGINE so worker "
         "processes use it too; results, digests and cache entries are "
-        "identical across backends — batch needs the numpy extra)",
+        "identical across backends — native needs the compiled extension "
+        "and falls back to wheel without it)",
     )
     parser.add_argument(
         "--profile",

@@ -2,7 +2,7 @@
 
 The kernel is deliberately small: an integer-picosecond clock, a queue
 of ``(time, sequence, callback)`` entries behind one of three
-interchangeable schedulers (``wheel``, ``heap``, ``batch`` — see
+interchangeable schedulers (``wheel``, ``heap``, ``native`` — see
 :mod:`repro.sim.engine`), and deterministic tie-breaking by insertion
 order.  All higher-level components (links, routers, memory
 controllers, hosts) are implemented as callbacks over this kernel.

@@ -8,8 +8,8 @@
  *   per-event tuple allocation, no rich-comparison calls in the heap),
  *   with callbacks dispatched through the vectorcall protocol.  Events
  *   fire in exact (time, seq) order, so results are bit-identical to
- *   the wheel/heap/batch schedulers — the determinism contract the
- *   golden corpora pin.
+ *   the wheel/heap schedulers — the determinism contract the golden
+ *   corpora pin.
  *
  * - NativeQueue mirrors repro.net.buffers.InputQueue: packets stay in
  *   a real Python list bound to the ``_items`` attribute (the router's

@@ -18,11 +18,11 @@ Three schedulers live behind one API:
   determinism reference.  It is the wheel with an infinite near
   boundary, so both modes share every code path and dispatch events in
   exactly the same ``(time, seq)`` order.
-* ``batch`` — the cohort-execution engine (:mod:`repro.sim.batch`):
-  far-tier buckets are consumed by sorting them once and walking a
-  cursor, same-timestamp event cohorts are drained together, and
-  cohort-size statistics are kept in preallocated numpy arrays.
-  Requires numpy; ``Engine("batch")`` raises a clear error without it.
+* ``native`` — the compiled C scheduler (:mod:`repro.sim.native`), an
+  optional in-tree extension built with ``python -m
+  repro.sim.native_build``.  ``Engine("native")`` raises a clear error
+  when it is not built; ``REPRO_ENGINE=native`` falls back to ``wheel``
+  with one warning.
 
 Events are ``(time, sequence, callback, args)`` tuples ordered by time
 and, for equal times, by scheduling order — bit-identical results
@@ -59,7 +59,7 @@ COLLAPSE_REFILLS = 8
 COLLAPSE_DENSITY = 24
 
 #: Valid scheduler names, in documentation order.
-SCHEDULERS = ("wheel", "heap", "batch", "native")
+SCHEDULERS = ("wheel", "heap", "native")
 
 #: Environment variable selecting the ambient default scheduler (used
 #: when an Engine is built without an explicit choice — including the
@@ -72,19 +72,10 @@ _NO_ARGS: tuple = ()
 def backend_status() -> str:
     """One line naming the valid backends and whether the optional ones
     are usable here — appended to every unknown-backend error."""
-    from importlib.util import find_spec
-
-    try:
-        batch = "numpy installed" if find_spec("numpy") else "numpy missing"
-    except (ImportError, ValueError):  # pragma: no cover - exotic loaders
-        batch = "numpy missing"
     from repro.sim import native
 
     built = "extension built" if native.available() else "extension not built"
-    return (
-        "valid backends: 'wheel', 'heap', "
-        f"'batch' ({batch}), 'native' ({built})"
-    )
+    return f"valid backends: 'wheel', 'heap', 'native' ({built})"
 
 
 def default_scheduler() -> str:
@@ -155,29 +146,22 @@ class Engine:
     )
 
     def __new__(cls, scheduler: Optional[str] = None):
-        # ``Engine("batch")`` transparently builds the cohort engine (the
-        # subclass carries the numpy dependency so the pure-Python
-        # install path never imports it); ``Engine("native")`` builds
-        # the compiled C scheduler the same way.  The native type is not
-        # an Engine subclass, so returning it skips ``__init__``
+        # ``Engine("native")`` builds the compiled C scheduler (the
+        # pure-Python install path never imports it).  The native type
+        # is not an Engine subclass, so returning it skips ``__init__``
         # entirely — exactly the duck-typed hand-off the runner and
         # system expect.
-        if cls is Engine:
-            choice = scheduler if scheduler is not None else default_scheduler()
-            if choice == "batch":
-                from repro.sim.batch import BatchEngine
+        choice = scheduler if scheduler is not None else default_scheduler()
+        if choice == "native":
+            from repro.sim import native
 
-                return object.__new__(BatchEngine)
-            if choice == "native":
-                from repro.sim import native
-
-                if scheduler is None and not native.available():
-                    # Ambient selection falls back to wheel (with one
-                    # warning); __init__ resolves the same default and
-                    # applies the same fallback below.
-                    _ambient_native_fallback()
-                    return object.__new__(cls)
-                return native.load().NativeEngine()
+            if scheduler is None and not native.available():
+                # Ambient selection falls back to wheel (with one
+                # warning); __init__ resolves the same default and
+                # applies the same fallback below.
+                _ambient_native_fallback()
+                return object.__new__(cls)
+            return native.load().NativeEngine()
         return object.__new__(cls)
 
     def __init__(self, scheduler: Optional[str] = None) -> None:
@@ -188,8 +172,8 @@ class Engine:
                 # already warned that the extension is not built.
                 scheduler = "wheel"
         if scheduler not in ("wheel", "heap"):
-            # Unknown names land here (batch/native requests were
-            # dispatched by __new__ before __init__ ran).
+            # Unknown names land here (native requests were dispatched
+            # by __new__ before __init__ ran).
             raise SimulationError(
                 f"unknown scheduler backend {scheduler!r}; " + backend_status()
             )
@@ -519,7 +503,19 @@ class Engine:
         """
         problems = []
         queued = len(self._near) + sum(len(b) for b in self._far.values())
-        self._check_pending(problems, queued)
+        if self._running:
+            # Mid-dispatch the pending counter still includes events this
+            # run() call already processed (it is settled in bulk when
+            # the loop exits), so only the lower bound can be checked.
+            if queued > self._pending:
+                problems.append(
+                    f"pending counter {self._pending} below {queued} "
+                    "queued events mid-dispatch"
+                )
+        elif queued != self._pending:
+            problems.append(
+                f"pending counter {self._pending} != {queued} queued events"
+            )
         heap_indices = sorted(self._bucket_heap)
         far_indices = sorted(self._far)
         if heap_indices != far_indices:
@@ -539,25 +535,6 @@ class Engine:
                     f"{self._near_bound}"
                 )
                 break
-        self._check_far(problems)
-        return problems
-
-    def _check_pending(self, problems: list, queued: int) -> None:
-        if self._running:
-            # Mid-dispatch the pending counter still includes events this
-            # run() call already processed (it is settled in batch when
-            # the loop exits), so only the lower bound can be checked.
-            if queued > self._pending:
-                problems.append(
-                    f"pending counter {self._pending} below {queued} "
-                    "queued events mid-dispatch"
-                )
-        elif queued != self._pending:
-            problems.append(
-                f"pending counter {self._pending} != {queued} queued events"
-            )
-
-    def _check_far(self, problems: list) -> None:
         for index, bucket in self._far.items():
             for time, _seq, _cb, _args in bucket:
                 if time >> WHEEL_SHIFT != index:
@@ -571,6 +548,7 @@ class Engine:
                         f"far event at t={time} is before now={self.now}"
                     )
                     break
+        return problems
 
     def drain(self) -> None:
         """Discard all pending events (used to tear a system down)."""

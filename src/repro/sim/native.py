@@ -1,12 +1,12 @@
 """Loader for the compiled scheduler backend (``Engine("native")``).
 
-Mirrors how the ``batch`` extra handles numpy: the compiled artifact is
-optional, the pure-Python install path never imports it, and asking
-for it explicitly without the artifact present raises a
-:class:`~repro.errors.SimulationError` that says how to get it.  The
-ambient path (``REPRO_ENGINE=native`` in the environment) falls back
-to the ``wheel`` scheduler with a one-time warning instead — an env
-var set fleet-wide must not break machines without a compiler.
+The compiled artifact is optional, the pure-Python install path never
+imports it, and asking for it explicitly without the artifact present
+raises a :class:`~repro.errors.SimulationError` that says how to get
+it.  The ambient path (``REPRO_ENGINE=native`` in the environment)
+falls back to the ``wheel`` scheduler with a one-time warning instead
+— an env var set fleet-wide must not break machines without a
+compiler.
 
 The extension is built in-tree (``python -m repro.sim.native_build``)
 from ``_native.c``; no third-party packages are involved, so the

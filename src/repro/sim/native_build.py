@@ -79,7 +79,7 @@ def build(force: bool = False, quiet: bool = False) -> Path:
     except FileNotFoundError as exc:
         raise RuntimeError(
             f"no C compiler found ({cmd[0]!r}): the native engine is "
-            "optional — the wheel/heap/batch schedulers keep working"
+            "optional — the wheel/heap schedulers keep working"
         ) from exc
     if proc.returncode != 0:
         raise RuntimeError(

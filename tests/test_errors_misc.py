@@ -1,5 +1,7 @@
 """Tests for the error hierarchy and small leftover utilities."""
 
+import os
+
 import pytest
 
 from repro import errors, speedup_percent
@@ -58,6 +60,18 @@ class TestExperimentsCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig04" in out and "table01" in out
+
+    def test_engine_flag_takes_the_scheduler_list(self, monkeypatch, capsys):
+        from repro.experiments.__main__ import main
+
+        # setenv first so the flag's export is undone after the test.
+        monkeypatch.setenv("REPRO_ENGINE", "heap")
+        assert main(["list", "--engine", "native"]) == 0
+        assert os.environ["REPRO_ENGINE"] == "native"
+        with pytest.raises(SystemExit) as exc:
+            main(["list", "--engine", "batch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
 
     def test_single_experiment_with_workload_subset(self, capsys):
         from repro.experiments.__main__ import main

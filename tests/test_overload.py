@@ -3,7 +3,6 @@ admission control, their invariants, and digest transparency."""
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import replace
 
 import pytest
@@ -16,8 +15,6 @@ from repro.units import ns
 from repro.workloads.base import VALID_ARRIVALS
 
 from conftest import fast_workload, run_sim, run_system, sim_digest, small_config
-
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def overload_config(**overrides) -> SystemConfig:
@@ -214,7 +211,7 @@ class TestEngineEquivalence:
     def test_overload_digest_identical_across_engines(self):
         config = overload_config().with_obs(attribution=True)
         workload = open_workload()
-        schedulers = ["heap", "wheel"] + (["batch"] if HAVE_NUMPY else [])
+        schedulers = ["heap", "wheel"]
         digests = {
             scheduler: sim_digest(
                 config, workload, requests=150, scheduler=scheduler, audit=True

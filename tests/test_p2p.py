@@ -135,10 +135,10 @@ class TestRelay:
 # Engine equivalence
 # ---------------------------------------------------------------------------
 class TestEngineEquivalence:
-    def test_three_engines_agree_on_p2p(self):
+    def test_heap_and_wheel_agree_on_p2p(self):
         config = p2p_config().with_obs(attribution=True)
         digests = set()
-        for scheduler in ("heap", "wheel", "batch"):
+        for scheduler in ("heap", "wheel"):
             _, result = run_system(
                 config,
                 p2p_workload(),

@@ -1,37 +1,32 @@
 """Scheduler equivalence: the scheduler choice must be invisible.
 
-The two-tier timing wheel (``Engine("wheel")``) and the batched
-cohort engine (``Engine("batch")``) exist purely for throughput; the
-plain binary heap (``Engine("heap")``) is the reference.  All three
-share the ``(time, seq)`` ordering contract, so every simulation must
-produce bit-identical results — same digest, same event count —
-regardless of which scheduler dispatched it, across every topology and
-with the observability and RAS layers on or off.  The property tests at
-the bottom drive the same contract with adversarial schedules: random
-delays biased onto the wheel-bucket boundaries, re-entrant scheduling
-from inside callbacks, and per-link FIFO delivery ordering through
-same-timestamp cohorts.
+The two-tier timing wheel (``Engine("wheel")``) exists purely for
+throughput; the plain binary heap (``Engine("heap")``) is the
+reference.  Both share the ``(time, seq)`` ordering contract, so every
+simulation must produce bit-identical results — same digest, same
+event count — regardless of which scheduler dispatched it, across every
+topology and with the observability and RAS layers on or off.  The
+property tests at the bottom drive the same contract with adversarial
+schedules: random delays biased onto the wheel-bucket boundaries,
+re-entrant scheduling from inside callbacks, and per-link FIFO delivery
+ordering through same-timestamp sends.  The compiled ``native`` backend
+has its own heap-oracle suite in ``test_native_engine.py`` and joins
+the FIFO property here when it is built.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import native
 from repro.sim.engine import WHEEL_SHIFT, Engine
 from repro.system import MemoryNetworkSystem
 
 from conftest import fast_workload, sim_digest, small_config
 
 TOPOLOGIES = ("chain", "ring", "skiplist", "metacube")
-
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="Engine('batch') requires the numpy extra",
-)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -51,22 +46,6 @@ def test_wheel_matches_heap(topology, obs, ras):
     assert wheel_events == heap_events
 
 
-@needs_numpy
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("obs", [False, True], ids=["obs-off", "obs-on"])
-@pytest.mark.parametrize("ras", [False, True], ids=["ras-off", "ras-on"])
-def test_batch_matches_heap(topology, obs, ras):
-    config = small_config(topology=topology)
-    if obs:
-        config = config.with_obs(attribution=True)
-    if ras:
-        config = config.with_ras(bit_error_rate=1e-6)
-    batch, batch_events = sim_digest(config, requests=150, scheduler="batch")
-    heap, heap_events = sim_digest(config, requests=150, scheduler="heap")
-    assert batch == heap
-    assert batch_events == heap_events
-
-
 def test_wheel_matches_heap_across_far_horizon():
     """Events past the near boundary take the far-bucket path; a long
     quiet workload forces refills and must still match the heap."""
@@ -75,17 +54,6 @@ def test_wheel_matches_heap_across_far_horizon():
     wheel, _ = sim_digest(config, workload, 120, scheduler="wheel")
     heap, _ = sim_digest(config, workload, 120, scheduler="heap")
     assert wheel == heap
-
-
-@needs_numpy
-def test_batch_matches_heap_across_far_horizon():
-    """The sparse-schedule case exercises one sorted window per handful
-    of events, maximizing refill churn in the batch engine."""
-    config = small_config()
-    workload = fast_workload(mean_gap_ns=40.0, burst_size=1.0)
-    batch, _ = sim_digest(config, workload, 120, scheduler="batch")
-    heap, _ = sim_digest(config, workload, 120, scheduler="heap")
-    assert batch == heap
 
 
 def test_default_engine_is_wheel(monkeypatch):
@@ -154,21 +122,6 @@ def test_wheel_pops_identically_to_heap(initial, chained):
     )
 
 
-@needs_numpy
-@settings(max_examples=60, deadline=None)
-@given(
-    initial=st.lists(_delays, min_size=1, max_size=24),
-    chained=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=23), _delays),
-        max_size=24,
-    ),
-)
-def test_batch_pops_identically_to_heap(initial, chained):
-    assert _fire_log("batch", initial, chained) == _fire_log(
-        "heap", initial, chained
-    )
-
-
 NUM_LINKS = 4
 
 
@@ -177,9 +130,9 @@ def _link_traffic(scheduler, sends, latency):
 
     Each generated "send" event forwards its message after a fixed
     per-link latency via a re-entrant schedule, so same-timestamp sends
-    on one link form a delivery cohort ``latency`` later.  A FIFO wire
-    requires per-link arrival order == send order; a cohort drained out
-    of ``(time, seq)`` order would reorder it.
+    on one link all arrive ``latency`` later.  A FIFO wire requires
+    per-link arrival order == send order; same-time events dispatched
+    out of ``(time, seq)`` order would reorder it.
     """
     engine = Engine(scheduler)
     sent = {link: [] for link in range(NUM_LINKS)}
@@ -199,7 +152,6 @@ def _link_traffic(scheduler, sends, latency):
     return sent, arrived
 
 
-@needs_numpy
 @settings(max_examples=60, deadline=None)
 @given(
     sends=st.lists(
@@ -209,10 +161,10 @@ def _link_traffic(scheduler, sends, latency):
     ),
     latency=st.integers(min_value=0, max_value=2 * WHEEL_PERIOD),
 )
-def test_cohort_drain_preserves_per_link_fifo(sends, latency):
-    """Cohort-phase execution must not reorder any link's FIFO."""
+def test_fast_schedulers_preserve_per_link_fifo(sends, latency):
+    """Same-timestamp dispatch must not reorder any link's FIFO."""
     reference = _link_traffic("heap", sends, latency)
-    for scheduler in ("wheel", "batch"):
+    for scheduler in ("wheel",) + (("native",) if native.available() else ()):
         sent, arrived = _link_traffic(scheduler, sends, latency)
         for link in range(NUM_LINKS):
             assert [msg for _t, msg in arrived[link]] == sent[link]
