@@ -653,23 +653,23 @@ class InvariantAuditor:
         if not collector.segments:
             return
         residual = collector.segments.get(UNATTRIBUTED)
-        if residual is not None and residual.stat.total != 0:
+        if residual is not None and residual.total != 0:
             out.append((
                 "obs.attribution", "collector",
-                f"unattributed residual totals {residual.stat.total} ps "
+                f"unattributed residual totals {residual.total} ps "
                 f"over {residual.count} transactions (max "
-                f"{residual.stat.max})",
+                f"{residual.max})",
             ))
         phase_totals = {phase: 0.0 for phase in PHASES}
         for label, hist in collector.segments.items():
             phase = phase_of(label)
             if phase is not None:
-                phase_totals[phase] += hist.stat.total
+                phase_totals[phase] += hist.total
         breakdown = collector.all
         for phase, component in (
-            ("req", breakdown.to_memory),
-            ("mem", breakdown.in_memory),
-            ("resp", breakdown.from_memory),
+            ("req", breakdown.to_memory_hist),
+            ("mem", breakdown.in_memory_hist),
+            ("resp", breakdown.from_memory_hist),
         ):
             if abs(phase_totals[phase] - component.total) > 0.5:
                 out.append((

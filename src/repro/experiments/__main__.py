@@ -143,8 +143,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
     for experiment_id in ids:
         run = get_experiment(experiment_id)
-        started = time.time()
+        started = time.perf_counter()
         simulated_before = runner.simulations_run
+        cache_before = runner.cache.stats()
         kwargs = {
             "requests": args.requests,
             "workloads": workloads,
@@ -160,8 +161,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         output = run(**kwargs)
         if profiler is not None:
             profiler.disable()
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         simulated = runner.simulations_run - simulated_before
+        cache_delta = {
+            key: value - cache_before[key]
+            for key, value in runner.cache.stats().items()
+        }
         print(output.text)
         if output.notes:
             print()
@@ -169,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"[{experiment_id} completed in {elapsed:.1f}s — "
             f"{simulated} simulations run, jobs={runner.jobs}, "
-            f"{runner.cache.describe()}]"
+            f"{runner.cache.describe(cache_delta)}]"
         )
         print()
 

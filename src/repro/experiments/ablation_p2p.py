@@ -91,9 +91,9 @@ def run(
                 continue
             breakdown = result.collector.p2p_breakdown
             p2p_ns = to_ns(
-                breakdown.to_memory.mean
-                + breakdown.in_memory.mean
-                + breakdown.from_memory.mean
+                breakdown.to_memory_hist.mean
+                + breakdown.in_memory_hist.mean
+                + breakdown.from_memory_hist.mean
             )
             mean_hops = result.collector.xfer_hops.mean
             hops[topo][fraction] = mean_hops

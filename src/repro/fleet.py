@@ -17,7 +17,7 @@ Aggregation is *streaming*: shard results are folded into a
 :meth:`repro.runner.ParallelRunner.run_fold` and then released — the
 fleet never materializes per-shard detail in one process, so peak
 resident memory is independent of shard count.  Every fold operation is
-exactly commutative (:class:`repro.sim.stats.TailAccumulator`,
+exactly commutative (:class:`repro.sim.stats.Histogram`,
 :class:`repro.sim.stats.CounterBag`), which is what makes fleet results
 bit-identical between ``--jobs 1`` and ``--jobs N`` and between cold and
 warm-cache replays.
@@ -43,10 +43,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.results import SimResult
+from repro.results import SimResult, make_latency_histogram
 from repro.runner.job import SimJob, canonical_tree, digest_tree
 from repro.sim.random import derive_seed
-from repro.sim.stats import CounterBag, TailAccumulator
+from repro.sim.stats import CounterBag
 from repro.units import to_ns
 from repro.workloads import WorkloadSpec
 
@@ -55,7 +55,8 @@ from repro.workloads import WorkloadSpec
 FLEET_DIGEST_VERSION = "repro-fleet-v1"
 
 #: Version of the :meth:`FleetResult.digest` state schema.
-FLEET_RESULT_VERSION = 1
+#: v2: tenant latency is a full Histogram state (fixed shape, integer total).
+FLEET_RESULT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +233,10 @@ class TenantAggregate:
 
     Holds only fixed-size, order-invariant state: a :class:`CounterBag`
     over the :meth:`repro.results.SimResult.per_kind_counts` schema, a
-    :class:`TailAccumulator` over the end-to-end latency histograms, and
-    integer runtime totals.  Folding the same shard results in any
-    order — or merging partial aggregates over any partition — yields
-    bit-identical state.
+    :class:`~repro.sim.stats.Histogram` merging the end-to-end latency
+    histograms, and integer runtime totals.  Folding the same shard
+    results in any order — or merging partial aggregates over any
+    partition — yields bit-identical state.
     """
 
     __slots__ = ("shards", "counters", "runtime_ps_total", "runtime_ps_max",
@@ -247,7 +248,7 @@ class TenantAggregate:
         self.runtime_ps_total = 0
         self.runtime_ps_max = 0
         self.events = 0
-        self.latency = TailAccumulator()
+        self.latency = make_latency_histogram()
 
     def fold(self, result: SimResult) -> None:
         """Fold one shard's result in; keeps no reference to it."""
@@ -257,7 +258,7 @@ class TenantAggregate:
         if result.runtime_ps > self.runtime_ps_max:
             self.runtime_ps_max = result.runtime_ps
         self.events += result.events_processed
-        self.latency.fold(result.collector.all.total_hist)
+        self.latency.merge(result.collector.all.total_hist)
 
     def merge(self, other: "TenantAggregate") -> None:
         self.shards += other.shards
@@ -295,8 +296,9 @@ class TenantAggregate:
 
     def percentile_ns(self, fraction: float) -> Optional[float]:
         """Latency percentile in ns; ``None`` when no requests landed."""
-        value = self.latency.percentile(fraction)
-        return None if value is None else to_ns(value)
+        if self.latency.count == 0:
+            return None
+        return to_ns(self.latency.percentile(fraction))
 
     def tails_ns(self) -> Dict[str, Optional[float]]:
         return {

@@ -248,7 +248,7 @@ def three_way_ns(
     for label, hist in segment_hists.items():
         phase = phase_of(label)
         if phase is not None:
-            totals[phase] += hist.stat.total
+            totals[phase] += hist.total
     count = transactions or 1
     return {
         PHASE_TO_COMPONENT[phase]: to_ns(totals[phase] / count)
@@ -275,8 +275,8 @@ def segment_table_rows(
         rows.append(
             [
                 label,
-                f"{to_ns(hist.stat.total / count):8.1f}",
-                f"{to_ns(hist.stat.mean):8.1f}",
+                f"{to_ns(hist.total / count):8.1f}",
+                f"{to_ns(hist.mean):8.1f}",
                 f"{to_ns(p50):8.1f}",
                 f"{to_ns(p95):8.1f}",
                 f"{to_ns(p99):8.1f}" + ("*" if clamped else ""),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Tuple
 
 from repro.ras.plan import FaultPlan
-from repro.sim import Engine, RandomStream, StatsRegistry
+from repro.sim import CounterBag, Engine, RandomStream
 
 
 class LinkFaultState:
@@ -33,7 +33,7 @@ class LinkFaultState:
         ber: float,
         retry_penalty_ps: int,
         max_replays: int,
-        stats: StatsRegistry,
+        stats: CounterBag,
     ) -> None:
         self.stream = stream
         self.ber = ber
@@ -53,7 +53,7 @@ class LinkFaultState:
         while replays < self.max_replays and rand() < p:
             replays += 1
         if replays:
-            self.stats.count("ras.crc_errors", replays)
+            self.stats.add("ras.crc_errors", replays)
         return replays
 
 
@@ -63,7 +63,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, root_seed: int) -> None:
         self.plan = plan
         self.root_seed = root_seed
-        self.stats = StatsRegistry()
+        self.stats = CounterBag()
         self._overrides: Dict[FrozenSet[int], float] = {
             frozenset((a, b)): rate for a, b, rate in plan.link_error_rates
         }
@@ -103,7 +103,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:
         """RAS counters for ``SimResult.extra`` (sorted, JSON-able)."""
-        return {name: float(v) for name, v in sorted(self.stats.counters.items())}
+        return {name: float(v) for name, v in self.stats.as_dict().items()}
 
 
 __all__: Tuple[str, ...] = ("FaultInjector", "LinkFaultState")

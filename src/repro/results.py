@@ -7,7 +7,7 @@ from typing import Dict
 
 from repro.net.packet import Transaction
 from repro.obs.attribution import UNATTRIBUTED, make_segment_histogram, sum_by_label
-from repro.sim.stats import Histogram, RunningStat
+from repro.sim.stats import Histogram
 from repro.units import to_ns
 
 #: Histogram shape for the latency-component distributions: 2 ns buckets
@@ -17,23 +17,28 @@ from repro.units import to_ns
 LATENCY_HIST_BUCKET_PS = 2_000
 LATENCY_HIST_NUM_BUCKETS = 1024
 
+#: Hop-count histograms: one bucket per hop, far beyond any topology's
+#: diameter (the overflow counter would catch a pathological route).
+HOPS_HIST_NUM_BUCKETS = 64
+
 
 def make_latency_histogram() -> Histogram:
     return Histogram(LATENCY_HIST_BUCKET_PS, LATENCY_HIST_NUM_BUCKETS)
+
+
+def make_hops_histogram() -> Histogram:
+    return Histogram(1, HOPS_HIST_NUM_BUCKETS)
 
 
 @dataclass
 class LatencyBreakdown:
     """The Fig 5 decomposition: to-memory / in-memory / from-memory.
 
-    Each component keeps a Welford :class:`RunningStat` *and* a
-    fixed-width :class:`Histogram` (plus one for the end-to-end total),
-    so the breakdown reports tail percentiles alongside means.
+    One exact :class:`Histogram` per component plus one for the
+    end-to-end total, so the breakdown reports exact means alongside
+    tail percentiles.
     """
 
-    to_memory: RunningStat = field(default_factory=RunningStat)
-    in_memory: RunningStat = field(default_factory=RunningStat)
-    from_memory: RunningStat = field(default_factory=RunningStat)
     to_memory_hist: Histogram = field(default_factory=make_latency_histogram)
     in_memory_hist: Histogram = field(default_factory=make_latency_histogram)
     from_memory_hist: Histogram = field(default_factory=make_latency_histogram)
@@ -43,23 +48,10 @@ class LatencyBreakdown:
         to_ps = txn.to_memory_ps
         in_ps = txn.in_memory_ps
         from_ps = txn.from_memory_ps
-        self.to_memory.add(to_ps)
-        self.in_memory.add(in_ps)
-        self.from_memory.add(from_ps)
         self.to_memory_hist.add(to_ps)
         self.in_memory_hist.add(in_ps)
         self.from_memory_hist.add(from_ps)
         self.total_hist.add(to_ps + in_ps + from_ps)
-
-    def merge(self, other: "LatencyBreakdown") -> None:
-        """Fold another breakdown into this one (multi-port composition)."""
-        self.to_memory.merge(other.to_memory)
-        self.in_memory.merge(other.in_memory)
-        self.from_memory.merge(other.from_memory)
-        self.to_memory_hist.merge(other.to_memory_hist)
-        self.in_memory_hist.merge(other.in_memory_hist)
-        self.from_memory_hist.merge(other.from_memory_hist)
-        self.total_hist.merge(other.total_hist)
 
     def percentile_ns(self, component: str, fraction: float) -> float:
         """Percentile (ns) of one component's latency distribution."""
@@ -80,15 +72,15 @@ class LatencyBreakdown:
 
     @property
     def to_memory_ns(self) -> float:
-        return to_ns(self.to_memory.mean)
+        return to_ns(self.to_memory_hist.mean)
 
     @property
     def in_memory_ns(self) -> float:
-        return to_ns(self.in_memory.mean)
+        return to_ns(self.in_memory_hist.mean)
 
     @property
     def from_memory_ns(self) -> float:
-        return to_ns(self.from_memory.mean)
+        return to_ns(self.from_memory_hist.mean)
 
     @property
     def total_ns(self) -> float:
@@ -123,9 +115,9 @@ class TransactionCollector:
         self.read_breakdown = LatencyBreakdown()
         self.write_breakdown = LatencyBreakdown()
         self.p2p_breakdown = LatencyBreakdown()
-        self.request_hops = RunningStat()
-        self.response_hops = RunningStat()
-        self.xfer_hops = RunningStat()
+        self.request_hops = make_hops_histogram()
+        self.response_hops = make_hops_histogram()
+        self.xfer_hops = make_hops_histogram()
         self.row_hits = 0
         self.nvm_accesses = 0
         self.last_complete_ps = 0
@@ -173,30 +165,6 @@ class TransactionCollector:
         if hist is None:
             hist = segments[UNATTRIBUTED] = make_segment_histogram()
         hist.add(residual)
-
-    def merge(self, other: "TransactionCollector") -> None:
-        """Fold another collector into this one (multi-port composition)."""
-        self.reads += other.reads
-        self.writes += other.writes
-        self.p2p += other.p2p
-        self.row_hits += other.row_hits
-        self.nvm_accesses += other.nvm_accesses
-        self.all.merge(other.all)
-        self.read_breakdown.merge(other.read_breakdown)
-        self.write_breakdown.merge(other.write_breakdown)
-        self.p2p_breakdown.merge(other.p2p_breakdown)
-        self.request_hops.merge(other.request_hops)
-        self.response_hops.merge(other.response_hops)
-        self.xfer_hops.merge(other.xfer_hops)
-        if other.last_complete_ps > self.last_complete_ps:
-            self.last_complete_ps = other.last_complete_ps
-        for label, hist in other.segments.items():
-            into = self.segments.get(label)
-            if into is None:
-                into = self.segments[label] = Histogram(
-                    hist.bucket_width, len(hist.buckets)
-                )
-            into.merge(hist)
 
     @property
     def count(self) -> int:

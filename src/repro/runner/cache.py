@@ -152,9 +152,11 @@ class ResultCache:
             "stores": self.stores,
         }
 
-    def describe(self) -> str:
+    def describe(self, stats: Dict[str, int]) -> str:
+        """Render ``stats`` — a :meth:`stats` dict, or the difference of
+        two — with this cache's location."""
         where = str(self.cache_dir) if self.persistent else "memory only"
         return (
-            f"cache[{where}]: {self.memory_hits} memory hits, "
-            f"{self.disk_hits} disk hits, {self.misses} misses"
+            f"cache[{where}]: {stats['memory_hits']} memory hits, "
+            f"{stats['disk_hits']} disk hits, {stats['misses']} misses"
         )

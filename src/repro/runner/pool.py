@@ -272,7 +272,7 @@ class ParallelRunner:
         position* (duplicate digests fold the shared result once per
         occurrence) in completion order, which is not deterministic
         under parallel execution — folds must therefore be commutative
-        (see :class:`repro.sim.stats.TailAccumulator`).  After a digest's
+        (see :meth:`repro.sim.stats.Histogram.merge`).  After a digest's
         positions are folded, its entry is evicted from the cache's
         memory layer (kept on disk when a disk layer is configured), so
         peak resident memory is bounded by the in-flight worker chunks,

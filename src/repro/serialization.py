@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.results import EnergyReport, LatencyBreakdown, SimResult, TransactionCollector
-from repro.sim.stats import Histogram, RunningStat
+from repro.sim.stats import Histogram
 
 #: Bump whenever the state schema (or anything that feeds it) changes in
 #: a way that invalidates previously persisted results.
@@ -33,7 +33,9 @@ from repro.sim.stats import Histogram, RunningStat
 #: and fault-injection counters in ``extra`` (the repro.ras layer).
 #: v4: peer-to-peer copy accounting (p2p count, p2p_breakdown,
 #: xfer_hops) on the collector.
-RESULT_STATE_VERSION = 4
+#: v5: every distribution is one exact Histogram state (count, integer
+#: total, min, max, buckets); the Welford fields are gone.
+RESULT_STATE_VERSION = 5
 
 
 def result_to_dict(result: SimResult) -> Dict[str, object]:
@@ -86,75 +88,21 @@ def result_to_dict(result: SimResult) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # Lossless state round-trip (runner disk cache, determinism checks)
 # ---------------------------------------------------------------------------
-def _stat_to_state(stat: RunningStat) -> Dict[str, object]:
-    return {
-        "count": stat.count,
-        "mean": stat._mean,
-        "m2": stat._m2,
-        "min": stat.min,
-        "max": stat.max,
-        "total": stat.total,
-    }
-
-
-def _stat_from_state(state: Dict[str, object]) -> RunningStat:
-    # Values are passed through verbatim: JSON preserves the int/float
-    # distinction, and coercing here would make a round-tripped result
-    # hash differently from the freshly computed one.
-    stat = RunningStat()
-    stat.count = state["count"]
-    stat._mean = state["mean"]
-    stat._m2 = state["m2"]
-    stat.min = state["min"]
-    stat.max = state["max"]
-    stat.total = state["total"]
-    return stat
-
-
-def _hist_to_state(hist: Histogram) -> Dict[str, object]:
-    # Buckets are stored sparsely as [index, count] pairs: latency
-    # histograms have 1024 buckets of which a handful are populated.
-    return {
-        "bucket_width": hist.bucket_width,
-        "num_buckets": len(hist.buckets),
-        "buckets": [[i, n] for i, n in enumerate(hist.buckets) if n],
-        "underflow": hist.underflow,
-        "overflow": hist.overflow,
-        "stat": _stat_to_state(hist.stat),
-    }
-
-
-def _hist_from_state(state: Dict[str, object]) -> Histogram:
-    hist = Histogram(state["bucket_width"], state["num_buckets"])
-    for index, n in state["buckets"]:
-        hist.buckets[index] = n
-    hist.underflow = state["underflow"]
-    hist.overflow = state["overflow"]
-    hist.stat = _stat_from_state(state["stat"])
-    return hist
-
-
 def _breakdown_to_state(breakdown: LatencyBreakdown) -> Dict[str, object]:
     return {
-        "to_memory": _stat_to_state(breakdown.to_memory),
-        "in_memory": _stat_to_state(breakdown.in_memory),
-        "from_memory": _stat_to_state(breakdown.from_memory),
-        "to_memory_hist": _hist_to_state(breakdown.to_memory_hist),
-        "in_memory_hist": _hist_to_state(breakdown.in_memory_hist),
-        "from_memory_hist": _hist_to_state(breakdown.from_memory_hist),
-        "total_hist": _hist_to_state(breakdown.total_hist),
+        "to_memory_hist": breakdown.to_memory_hist.state(),
+        "in_memory_hist": breakdown.in_memory_hist.state(),
+        "from_memory_hist": breakdown.from_memory_hist.state(),
+        "total_hist": breakdown.total_hist.state(),
     }
 
 
 def _breakdown_from_state(state: Dict[str, object]) -> LatencyBreakdown:
     return LatencyBreakdown(
-        to_memory=_stat_from_state(state["to_memory"]),
-        in_memory=_stat_from_state(state["in_memory"]),
-        from_memory=_stat_from_state(state["from_memory"]),
-        to_memory_hist=_hist_from_state(state["to_memory_hist"]),
-        in_memory_hist=_hist_from_state(state["in_memory_hist"]),
-        from_memory_hist=_hist_from_state(state["from_memory_hist"]),
-        total_hist=_hist_from_state(state["total_hist"]),
+        to_memory_hist=Histogram.from_state(state["to_memory_hist"]),
+        in_memory_hist=Histogram.from_state(state["in_memory_hist"]),
+        from_memory_hist=Histogram.from_state(state["from_memory_hist"]),
+        total_hist=Histogram.from_state(state["total_hist"]),
     )
 
 
@@ -167,14 +115,14 @@ def _collector_to_state(collector: TransactionCollector) -> Dict[str, object]:
         "read_breakdown": _breakdown_to_state(collector.read_breakdown),
         "write_breakdown": _breakdown_to_state(collector.write_breakdown),
         "p2p_breakdown": _breakdown_to_state(collector.p2p_breakdown),
-        "request_hops": _stat_to_state(collector.request_hops),
-        "response_hops": _stat_to_state(collector.response_hops),
-        "xfer_hops": _stat_to_state(collector.xfer_hops),
+        "request_hops": collector.request_hops.state(),
+        "response_hops": collector.response_hops.state(),
+        "xfer_hops": collector.xfer_hops.state(),
         "row_hits": collector.row_hits,
         "nvm_accesses": collector.nvm_accesses,
         "last_complete_ps": collector.last_complete_ps,
         "segments": {
-            label: _hist_to_state(hist)
+            label: hist.state()
             for label, hist in sorted(collector.segments.items())
         },
     }
@@ -189,14 +137,14 @@ def _collector_from_state(state: Dict[str, object]) -> TransactionCollector:
     collector.read_breakdown = _breakdown_from_state(state["read_breakdown"])
     collector.write_breakdown = _breakdown_from_state(state["write_breakdown"])
     collector.p2p_breakdown = _breakdown_from_state(state["p2p_breakdown"])
-    collector.request_hops = _stat_from_state(state["request_hops"])
-    collector.response_hops = _stat_from_state(state["response_hops"])
-    collector.xfer_hops = _stat_from_state(state["xfer_hops"])
+    collector.request_hops = Histogram.from_state(state["request_hops"])
+    collector.response_hops = Histogram.from_state(state["response_hops"])
+    collector.xfer_hops = Histogram.from_state(state["xfer_hops"])
     collector.row_hits = state["row_hits"]
     collector.nvm_accesses = state["nvm_accesses"]
     collector.last_complete_ps = state["last_complete_ps"]
     collector.segments = {
-        label: _hist_from_state(hist_state)
+        label: Histogram.from_state(hist_state)
         for label, hist_state in state.get("segments", {}).items()
     }
     return collector

@@ -10,7 +10,7 @@ controllers, hosts) are implemented as callbacks over this kernel.
 
 from repro.sim.engine import SCHEDULERS, Engine, default_scheduler
 from repro.sim.random import RandomStream, derive_seed
-from repro.sim.stats import Histogram, RunningStat, StatsRegistry
+from repro.sim.stats import CounterBag, Histogram
 
 __all__ = [
     "Engine",
@@ -18,7 +18,6 @@ __all__ = [
     "default_scheduler",
     "RandomStream",
     "derive_seed",
+    "CounterBag",
     "Histogram",
-    "RunningStat",
-    "StatsRegistry",
 ]

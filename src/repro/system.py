@@ -388,8 +388,8 @@ class MemoryNetworkSystem:
         if not applied:
             return
         stats = self._ras.stats
-        stats.count("ras.link_failures", len(applied))
-        stats.count("ras.route_rebuilds")
+        stats.add("ras.link_failures", len(applied))
+        stats.add("ras.route_rebuilds")
         self._live_adjacency = self.topology.adjacency_by_class()
         self.route_table = RouteTable(
             self._live_adjacency,
@@ -430,7 +430,7 @@ class MemoryNetworkSystem:
                     if not self._route_is_dead(packet):
                         continue
                     if self._reroute_packet(packet):
-                        self._ras.stats.count("ras.packets_rerouted")
+                        self._ras.stats.add("ras.packets_rerouted")
                     else:
                         victims.add(packet)
                         self._drop_packet(engine, packet)
@@ -451,7 +451,7 @@ class MemoryNetworkSystem:
             for controller in cube.controllers:
                 dropped = controller.sweep_responses(self._fix_or_drop_response)
                 if dropped:
-                    self._ras.stats.count("ras.packets_dropped", dropped)
+                    self._ras.stats.add("ras.packets_dropped", dropped)
         for queue, count in drained:
             if queue.upstream_link is not None:
                 for _ in range(count):
@@ -464,7 +464,7 @@ class MemoryNetworkSystem:
         if not self._route_is_dead(response):
             return True
         if self._reroute_packet(response):
-            self._ras.stats.count("ras.packets_rerouted")
+            self._ras.stats.add("ras.packets_rerouted")
             return True
         # The host is unreachable from this cube; its transaction is
         # failed by the host-side sweep that follows the quiesce.
@@ -500,7 +500,7 @@ class MemoryNetworkSystem:
         if not self._route_is_dead(packet):
             return True
         if self._reroute_packet(packet):
-            self._ras.stats.count("ras.packets_rerouted")
+            self._ras.stats.add("ras.packets_rerouted")
             return True
         self._drop_packet(engine, packet)
         link.return_credit(engine)
@@ -510,7 +510,7 @@ class MemoryNetworkSystem:
         return False
 
     def _drop_packet(self, engine: Engine, packet: Packet) -> None:
-        self._ras.stats.count("ras.packets_dropped")
+        self._ras.stats.add("ras.packets_dropped")
         txn = packet.transaction
         if txn is not None and not txn.failed:
             # Request cut off from its cube, or response cut off from the
@@ -563,7 +563,7 @@ class MemoryNetworkSystem:
             except RoutingError:
                 if self._ras is None:
                     raise  # without a fault plan this is a wiring bug
-                self._ras.stats.count("ras.responses_unroutable")
+                self._ras.stats.add("ras.responses_unroutable")
                 return False
             response.hop_index = 0
             return True
@@ -577,7 +577,7 @@ class MemoryNetworkSystem:
                 raise  # without a fault plan this is a wiring bug
             # The host became unreachable from this cube; the response
             # is lost and the host errors the transaction on its side.
-            self._ras.stats.count("ras.responses_unroutable")
+            self._ras.stats.add("ras.responses_unroutable")
             return False
         response.hop_index = 0
         return True

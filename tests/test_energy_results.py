@@ -75,8 +75,8 @@ class TestLatencyBreakdown:
         breakdown = LatencyBreakdown()
         breakdown.add(finished_txn())
         breakdown.add(finished_txn(arrive=200, depart=260, done=400))
-        assert breakdown.to_memory.mean == pytest.approx(150.0)
-        assert breakdown.in_memory.mean == pytest.approx(55.0)
+        assert breakdown.to_memory_hist.mean == pytest.approx(150.0)
+        assert breakdown.in_memory_hist.mean == pytest.approx(55.0)
 
     def test_fractions_sum_to_one(self):
         breakdown = LatencyBreakdown()

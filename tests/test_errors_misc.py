@@ -84,3 +84,34 @@ class TestExperimentsCli:
 
         assert main(["fig08", "--requests", "10"]) == 0
         assert "APU--0" in capsys.readouterr().out
+
+    def test_status_lines_report_per_experiment_cache_deltas(
+        self, monkeypatch, capsys
+    ):
+        import re
+
+        import repro.experiments.__main__ as cli
+        from repro.runner import reset_runner
+
+        # "all" over two experiments: the repeat is served from the
+        # in-memory layer, so its line must show only its own lookups.
+        monkeypatch.setattr(cli, "experiment_ids", lambda: ["fig04", "fig04"])
+        argv = ["all", "--requests", "10", "--workloads", "KMEANS", "--no-cache"]
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            reset_runner()
+        lines = re.findall(
+            r"\[fig04 completed in [\d.]+s — (\d+) simulations run, jobs=\d+, "
+            r"cache\[memory only\]: (\d+) memory hits, (\d+) disk hits, "
+            r"(\d+) misses\]",
+            capsys.readouterr().out,
+        )
+        assert len(lines) == 2
+        (sims1, hits1, disk1, miss1), (sims2, hits2, disk2, miss2) = [
+            tuple(map(int, line)) for line in lines
+        ]
+        assert sims1 == miss1 > 0 and disk1 == 0
+        # process totals would repeat the first line's misses here
+        assert (sims2, disk2, miss2) == (0, 0, 0)
+        assert hits2 == hits1 + miss1

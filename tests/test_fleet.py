@@ -34,7 +34,7 @@ from repro.fleet import (
 from repro.runner import ParallelRunner, ResultCache, SimJob
 from repro.serialization import result_digest
 from repro.sim.random import derive_seed
-from repro.sim.stats import Histogram, HistogramShapeError, TailAccumulator
+from repro.sim.stats import Histogram, HistogramShapeError
 
 REQUESTS = 30
 
@@ -277,29 +277,28 @@ class TestAggregationEdges:
     def test_histogram_shape_mismatch_raises_named_error(self):
         left = Histogram(bucket_width=100.0, num_buckets=8)
         right = Histogram(bucket_width=200.0, num_buckets=8)
+        right.add(50)
         with pytest.raises(HistogramShapeError, match="different shapes"):
             left.merge(right)
         # Back-compat: pre-existing callers catch plain ValueError.
         assert issubclass(HistogramShapeError, ValueError)
 
     def test_accumulator_shape_mismatch_raises_named_error(self):
-        acc = TailAccumulator()
-        shaped = Histogram(bucket_width=100.0, num_buckets=8)
-        shaped.add(50.0)
-        acc.fold(shaped)
+        """A tenant's latency accumulator refuses a foreign bin shape."""
+        acc = TenantAggregate().latency
         other = Histogram(bucket_width=200.0, num_buckets=8)
-        other.add(50.0)
+        other.add(50)
         with pytest.raises(HistogramShapeError, match="different shapes"):
-            acc.fold(other)
+            acc.merge(other)
 
     def test_empty_histogram_fold_is_shape_neutral(self):
         """An empty shard's histogram folds as a no-op, whatever its shape."""
-        acc = TailAccumulator()
-        shaped = Histogram(bucket_width=100.0, num_buckets=8)
-        shaped.add(250.0)
-        acc.fold(shaped)
+        acc = TenantAggregate().latency
+        shaped = Histogram(acc.bucket_width, len(acc.buckets))
+        shaped.add(250)
+        acc.merge(shaped)
         before = acc.state()
-        acc.fold(Histogram(bucket_width=999.0, num_buckets=3))  # empty
+        acc.merge(Histogram(bucket_width=999.0, num_buckets=3))  # empty
         assert acc.state() == before
 
     def test_empty_tenant_percentiles_absent_not_zero(self):

@@ -2,9 +2,9 @@
 
 Three families, matching the fleet determinism contract:
 
-* fold-order invariance — folding the same histograms through any
-  partition of :class:`TailAccumulator`\\ s, merged in any order,
-  yields bit-identical state;
+* fold-order invariance — merging the same histograms through any
+  partition of partial :class:`Histogram`\\ s, in any order, yields
+  bit-identical state;
 * percentile sanity — percentiles are monotone in the requested
   fraction, and adding load at/above the current tail never lowers it;
 * conservation — counters and shard apportionment are exactly
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import FleetConfig, Tenant
-from repro.sim.stats import CounterBag, Histogram, TailAccumulator
+from repro.sim.stats import CounterBag, Histogram
 
 from conftest import fast_workload, small_config
 
@@ -28,17 +28,17 @@ samples = st.lists(
 )
 
 
-def _histogram(values, bucket_width=100.0, num_buckets=16) -> Histogram:
+def _histogram(values=(), bucket_width=100.0, num_buckets=16) -> Histogram:
     hist = Histogram(bucket_width=bucket_width, num_buckets=num_buckets)
     for value in values:
-        hist.add(float(value))
+        hist.add(value)
     return hist
 
 
 # --- fold-order invariance -------------------------------------------------
 @given(samples, st.data())
 @settings(max_examples=60, deadline=None)
-def test_tail_accumulator_fold_order_invariance(values, data):
+def test_histogram_merge_order_invariance(values, data):
     """Any shard partition, folded/merged in any order, is bit-identical."""
     # Random partition of the samples into "shards".
     cuts = data.draw(
@@ -53,17 +53,17 @@ def test_tail_accumulator_fold_order_invariance(values, data):
     ]
     hists = [_histogram(shard) for shard in shards]
 
-    # Reference: one accumulator folding shard histograms left to right.
-    reference = TailAccumulator()
+    # Reference: one histogram merging shard histograms left to right.
+    reference = _histogram()
     for hist in hists:
-        reference.fold(hist)
+        reference.merge(hist)
 
-    # Permuted: fold in shuffled order, through a random two-level tree.
+    # Permuted: merge in shuffled order, through a random two-level tree.
     order = data.draw(st.permutations(range(len(hists))))
-    left, right = TailAccumulator(), TailAccumulator()
+    left, right = _histogram(), _histogram()
     for position, index in enumerate(order):
-        (left if position % 2 else right).fold(hists[index])
-    merged = TailAccumulator()
+        (left if position % 2 else right).merge(hists[index])
+    merged = _histogram()
     merged.merge(left)
     merged.merge(right)
 
@@ -73,26 +73,23 @@ def test_tail_accumulator_fold_order_invariance(values, data):
 
 @given(samples)
 @settings(max_examples=60, deadline=None)
-def test_tail_accumulator_matches_single_histogram(values):
-    """Folding one histogram reproduces its own percentile read-out."""
+def test_merge_into_empty_matches_single_histogram(values):
+    """Merging one histogram into an empty one reproduces it exactly."""
     hist = _histogram(values)
-    acc = TailAccumulator()
-    acc.fold(hist)
+    acc = _histogram()
+    acc.merge(hist)
+    assert acc.state() == hist.state()
     for fraction in (0.5, 0.95, 0.99):
         assert acc.percentile(fraction) == hist.percentile(fraction)
-    assert acc.count == hist.count
-    # Exact mean (total / count), not Welford's incremental mean — the
-    # two can differ in the last ulp, which is exactly why the
-    # accumulator carries the exact integer-valued total instead.
-    assert acc.mean == hist.stat.total / hist.count
+    # Exact mean: the integer total over the count.
+    assert acc.mean == sum(values) / len(values)
 
 
 # --- percentile monotonicity -----------------------------------------------
 @given(samples)
 @settings(max_examples=60, deadline=None)
 def test_percentiles_monotone_in_fraction(values):
-    acc = TailAccumulator()
-    acc.fold(_histogram(values))
+    acc = _histogram(values)
     p50, p95, p99 = (
         acc.percentile(0.50), acc.percentile(0.95), acc.percentile(0.99)
     )
@@ -105,11 +102,10 @@ def test_percentiles_monotone_in_fraction(values):
 def test_added_load_at_the_tail_never_lowers_p99(values, extra_offsets):
     """Folding extra samples at/above the current maximum cannot lower
     any percentile — more load only pushes the tenant's tail up."""
-    acc = TailAccumulator()
-    acc.fold(_histogram(values))
+    acc = _histogram(values)
     before = {f: acc.percentile(f) for f in (0.5, 0.95, 0.99)}
     peak = max(values)
-    acc.fold(_histogram([peak + offset for offset in extra_offsets]))
+    acc.merge(_histogram([peak + offset for offset in extra_offsets]))
     for fraction, value in before.items():
         assert acc.percentile(fraction) >= value
 

@@ -162,5 +162,5 @@ class TestHostPort:
         system, result = run_system(config, requests=50)
         floor = 2 * config.host.port_latency_ps
         breakdown = result.collector.all
-        assert breakdown.to_memory.min >= config.host.port_latency_ps
+        assert breakdown.to_memory_hist.min >= config.host.port_latency_ps
         assert result.collector.all.total_ns * 1000 >= floor

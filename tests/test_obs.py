@@ -12,7 +12,6 @@ import pytest
 
 from repro.config import ObsConfig, SystemConfig
 from repro.errors import SimulationError
-from repro.multiport import simulate_all_ports
 from repro.obs import (
     PHASE_TO_COMPONENT,
     UNATTRIBUTED,
@@ -92,8 +91,8 @@ class TestAttribution:
             small_config().with_obs(attribution=True), requests=300
         )
         residual = result.collector.segments[UNATTRIBUTED]
-        assert residual.stat.total == 0
-        assert residual.stat.max == 0
+        assert residual.total == 0
+        assert residual.max == 0
 
     def test_port_crossings_always_present(self):
         config = small_config().with_obs(attribution=True)
@@ -101,7 +100,7 @@ class TestAttribution:
         segments = result.collector.segments
         assert segments["req.port"].count == result.transactions
         assert segments["resp.port"].count == result.transactions
-        per_txn_ps = segments["req.port"].stat.total / result.transactions
+        per_txn_ps = segments["req.port"].total / result.transactions
         assert per_txn_ps == config.host.port_latency_ps
 
     def test_helpers(self):
@@ -161,18 +160,6 @@ class TestTails:
         report = result_to_dict(result)
         assert "tails_ns" in report["latency"]
         assert report["latency"]["tails_ns"]["total"]["p95"] > 0
-
-    def test_multiport_merges_histograms_and_segments(self):
-        config = small_config().with_obs(attribution=True)
-        multi = simulate_all_ports(config, fast_workload(), requests_per_port=40)
-        merged = multi.merged_collector()
-        assert merged.count == multi.total_transactions
-        assert merged.all.total_hist.count == multi.total_transactions
-        assert merged.segments["req.port"].count == multi.total_transactions
-        # merged percentiles are well-formed
-        assert merged.all.percentile_ns("total", 0.99) >= merged.all.percentile_ns(
-            "total", 0.50
-        )
 
 
 # ---------------------------------------------------------------------------

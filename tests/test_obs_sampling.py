@@ -153,7 +153,7 @@ class TestAttributionSampling:
         segments = result.collector.segments
         assert segments["req.port"].count == sampled
         assert segments[UNATTRIBUTED].count == sampled
-        assert segments[UNATTRIBUTED].stat.total == 0
+        assert segments[UNATTRIBUTED].total == 0
 
     def test_sampling_is_reproducible(self):
         config = small_config().with_obs(attribution=True, attribution_sample=4)
@@ -189,8 +189,8 @@ class TestLabelMasks:
         # suppressed spans are counted, so the residual still means
         # "instrumentation gap" and stays zero on a healthy run
         residual = result.collector.segments[UNATTRIBUTED]
-        assert residual.stat.total == 0
-        assert residual.stat.max == 0
+        assert residual.total == 0
+        assert residual.max == 0
 
     def test_masked_histograms_match_full_attribution(self):
         full_cfg = small_config().with_obs(attribution=True)
@@ -207,7 +207,7 @@ class TestLabelMasks:
             kept = masked.collector.segments[label]
             reference = full.collector.segments[label]
             assert kept.count == reference.count, label
-            assert kept.stat.total == reference.stat.total, label
+            assert kept.total == reference.total, label
         assert _digest_without_obs(masked) == _digest_without_obs(full)
 
     def test_mask_composes_with_sampling(self):
@@ -220,7 +220,7 @@ class TestLabelMasks:
         segments = result.collector.segments
         sampled = system.port.attribution_sampled
         assert segments["req.port"].count == sampled
-        assert segments[UNATTRIBUTED].stat.total == 0
+        assert segments[UNATTRIBUTED].total == 0
         for label in segments:
             assert label == UNATTRIBUTED or label.split(".", 1)[0] in (
                 "req",

@@ -235,4 +235,4 @@ class TestAttributionTiling:
         # Overload dead time is attributed, never leaked: the residual
         # pseudo-segment stays identically zero across every retry.
         unattributed = segments.get("unattributed")
-        assert unattributed is None or unattributed.stat.total == 0
+        assert unattributed is None or unattributed.total == 0

@@ -172,8 +172,8 @@ class TestP2pAttribution:
     def test_segments_tile_exactly(self):
         result = self._observed()
         residual = result.collector.segments[UNATTRIBUTED]
-        assert residual.stat.total == 0
-        assert residual.stat.max == 0
+        assert residual.total == 0
+        assert residual.max == 0
 
     def test_three_way_split_matches_timestamps(self):
         result = self._observed()

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core data structures."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,13 +175,9 @@ def test_skiplist_reads_never_slower_than_chain(count):
 _HIST_WIDTH = 50.0
 _HIST_BUCKETS = 16
 
+#: Integer samples, like the simulator's picosecond and hop-count ones.
 _samples = st.lists(
-    st.floats(
-        min_value=-500.0,
-        max_value=5_000.0,
-        allow_nan=False,
-        allow_infinity=False,
-    ),
+    st.integers(min_value=-500, max_value=5_000),
     max_size=50,
 )
 
@@ -194,21 +189,6 @@ def _hist(samples):
     return hist
 
 
-def _hist_key(hist):
-    """The exact (non-Welford) state of a histogram."""
-    return (tuple(hist.buckets), hist.underflow, hist.overflow, hist.count)
-
-
-def _assert_hist_equal(left, right):
-    assert _hist_key(left) == _hist_key(right)
-    assert left.stat.min == right.stat.min
-    assert left.stat.max == right.stat.max
-    # Welford merges are exact in exact arithmetic; allow float noise.
-    assert left.stat.total == pytest.approx(right.stat.total)
-    assert left.stat.mean == pytest.approx(right.stat.mean)
-    assert left.stat.variance == pytest.approx(right.stat.variance, abs=1e-6)
-
-
 @given(a=_samples, b=_samples)
 @settings(max_examples=60)
 def test_histogram_merge_commutes(a, b):
@@ -216,7 +196,8 @@ def test_histogram_merge_commutes(a, b):
     ab.merge(_hist(b))
     ba = _hist(b)
     ba.merge(_hist(a))
-    _assert_hist_equal(ab, ba)
+    # Integer adds and extreme comparisons: merges are exact.
+    assert ab.state() == ba.state()
 
 
 @given(a=_samples, b=_samples, c=_samples)
@@ -229,10 +210,9 @@ def test_histogram_merge_associates(a, b, c):
     right = _hist(a)
     right.merge(_hist(b))
     right.merge(_hist(c))
-    _assert_hist_equal(left, right)
+    assert left.state() == right.state()
     # and both equal the histogram of the concatenated stream, exactly
-    # on the bucket state
-    assert _hist_key(left) == _hist_key(_hist(a + b + c))
+    assert left.state() == _hist(a + b + c).state()
 
 
 @given(

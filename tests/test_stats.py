@@ -1,71 +1,10 @@
 """Tests for statistics collectors."""
 
-import math
+import json
 
 import pytest
 
-from repro.sim.stats import Histogram, RunningStat, StatsRegistry
-
-
-class TestRunningStat:
-    def test_empty(self):
-        stat = RunningStat()
-        assert stat.count == 0
-        assert stat.mean == 0.0
-        assert stat.variance == 0.0
-        assert stat.min is None and stat.max is None
-
-    def test_single_value(self):
-        stat = RunningStat()
-        stat.add(5.0)
-        assert stat.count == 1
-        assert stat.mean == 5.0
-        assert stat.variance == 0.0
-        assert stat.min == 5.0 and stat.max == 5.0
-
-    def test_mean_and_variance(self):
-        stat = RunningStat()
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for value in values:
-            stat.add(value)
-        assert stat.mean == pytest.approx(5.0)
-        expected_var = sum((v - 5.0) ** 2 for v in values) / (len(values) - 1)
-        assert stat.variance == pytest.approx(expected_var)
-        assert stat.stddev == pytest.approx(math.sqrt(expected_var))
-
-    def test_min_max_total(self):
-        stat = RunningStat()
-        for value in (3.0, -1.0, 10.0):
-            stat.add(value)
-        assert stat.min == -1.0
-        assert stat.max == 10.0
-        assert stat.total == 12.0
-
-    def test_merge_matches_sequential(self):
-        a, b, c = RunningStat(), RunningStat(), RunningStat()
-        for v in (1.0, 2.0, 3.0):
-            a.add(v)
-            c.add(v)
-        for v in (10.0, 20.0):
-            b.add(v)
-            c.add(v)
-        a.merge(b)
-        assert a.count == c.count
-        assert a.mean == pytest.approx(c.mean)
-        assert a.variance == pytest.approx(c.variance)
-        assert a.min == c.min and a.max == c.max
-
-    def test_merge_into_empty(self):
-        a, b = RunningStat(), RunningStat()
-        b.add(4.0)
-        a.merge(b)
-        assert a.count == 1 and a.mean == 4.0
-
-    def test_merge_empty_is_noop(self):
-        a, b = RunningStat(), RunningStat()
-        a.add(4.0)
-        a.merge(b)
-        assert a.count == 1 and a.mean == 4.0
+from repro.sim.stats import CounterBag, Histogram, HistogramShapeError
 
 
 class TestHistogram:
@@ -153,58 +92,67 @@ class TestHistogram:
             b.add(value)
             c.add(value)
         a.merge(b)
-        assert a.buckets == c.buckets
-        assert a.underflow == c.underflow
-        assert a.overflow == c.overflow
-        assert a.count == c.count
-        assert a.stat.mean == pytest.approx(c.stat.mean)
-        assert a.stat.min == c.stat.min and a.stat.max == c.stat.max
+        assert a.state() == c.state()
 
     def test_merge_shape_mismatch_rejected(self):
         base = Histogram(bucket_width=10, num_buckets=4)
-        with pytest.raises(ValueError, match="different shapes"):
-            base.merge(Histogram(bucket_width=5, num_buckets=4))
-        with pytest.raises(ValueError, match="different shapes"):
-            base.merge(Histogram(bucket_width=10, num_buckets=8))
+        for other in (
+            Histogram(bucket_width=5, num_buckets=4),
+            Histogram(bucket_width=10, num_buckets=8),
+        ):
+            other.add(1)
+            with pytest.raises(HistogramShapeError, match="different shapes"):
+                base.merge(other)
+
+    def test_merge_of_empty_is_shape_neutral(self):
+        base = Histogram(bucket_width=10, num_buckets=4)
+        base.add(12)
+        before = base.state()
+        base.merge(Histogram(bucket_width=999, num_buckets=3))
+        assert base.state() == before
+
+    def test_merge_into_empty(self):
+        a = Histogram(bucket_width=10, num_buckets=4)
+        b = Histogram(bucket_width=10, num_buckets=4)
+        b.add(4)
+        a.merge(b)
+        assert a.state() == b.state()
+
+    def test_exact_moments(self):
+        hist = Histogram(bucket_width=10, num_buckets=4)
+        assert hist.mean == 0.0
+        assert hist.min is None and hist.max is None
+        for value in (3, -1, 10):
+            hist.add(value)
+        assert hist.count == 3
+        assert hist.total == 12 and isinstance(hist.total, int)
+        assert hist.mean == 4.0
+        assert hist.min == -1 and hist.max == 10
+
+    def test_state_round_trip(self):
+        hist = Histogram(bucket_width=10, num_buckets=4)
+        for value in (-5, 3, 15, 99, 7):
+            hist.add(value)
+        clone = Histogram.from_state(json.loads(json.dumps(hist.state())))
+        assert clone.state() == hist.state()
+        assert clone.buckets == hist.buckets
+        assert clone.percentile(0.5) == hist.percentile(0.5)
 
 
-class TestStatsRegistry:
+class TestCounterBag:
     def test_counters(self):
-        reg = StatsRegistry()
-        reg.count("hits")
-        reg.count("hits", 2)
-        assert reg.counter("hits") == 3
-        assert reg.counter("absent") == 0
+        bag = CounterBag()
+        bag.add("hits")
+        bag.add("hits", 2)
+        assert bag.get("hits") == 3
+        assert bag.get("absent") == 0
 
-    def test_records(self):
-        reg = StatsRegistry()
-        reg.record("lat", 10.0)
-        reg.record("lat", 20.0)
-        assert reg.mean("lat") == pytest.approx(15.0)
-        assert reg.mean("absent") == 0.0
+    def test_as_dict_sorted(self):
+        bag = CounterBag()
+        bag.add("b")
+        bag.add("a", 4)
+        assert list(bag.as_dict().items()) == [("a", 4), ("b", 1)]
 
-    def test_names_and_dict(self):
-        reg = StatsRegistry()
-        reg.count("a")
-        reg.record("b", 1.0)
-        assert reg.names() == ["a", "b"]
-        flat = reg.as_dict()
-        assert flat["a"] == 1
-        assert flat["b.mean"] == 1.0
-        assert flat["b.count"] == 1
-
-    def test_as_dict_detects_counter_stat_collision(self):
-        # A counter literally named "lat.mean" would silently be
-        # overwritten by the stat's derived key; as_dict must refuse.
-        reg = StatsRegistry()
-        reg.count("lat.mean")
-        reg.record("lat", 4.0)
-        with pytest.raises(ValueError, match="key collision"):
-            reg.as_dict()
-
-    def test_as_dict_count_key_collision(self):
-        reg = StatsRegistry()
-        reg.count("lat.count", 2)
-        reg.record("lat", 4.0)
-        with pytest.raises(ValueError, match="lat.count"):
-            reg.as_dict()
+    def test_non_integral_amount_rejected(self):
+        with pytest.raises(ValueError, match="non-integral"):
+            CounterBag().add("x", 0.5)

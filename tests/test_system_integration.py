@@ -53,10 +53,10 @@ class TestLatencySanity:
     def test_components_positive_and_ordered(self):
         result = run(requests=300)
         breakdown = result.collector.all
-        assert breakdown.to_memory.mean > 0
-        assert breakdown.in_memory.mean > 0
-        assert breakdown.from_memory.mean > 0
-        assert result.runtime_ps >= breakdown.to_memory.max
+        assert breakdown.to_memory_hist.mean > 0
+        assert breakdown.in_memory_hist.mean > 0
+        assert breakdown.from_memory_hist.mean > 0
+        assert result.runtime_ps >= breakdown.to_memory_hist.max
 
     def test_farther_cubes_cost_more_hops(self):
         config = small_config(topology="chain")
@@ -144,7 +144,7 @@ class TestSkipListSystem:
         system.run()
         reads = system.collector.read_breakdown
         writes = system.collector.write_breakdown
-        assert writes.to_memory.mean > reads.to_memory.mean
+        assert writes.to_memory_hist.mean > reads.to_memory_hist.mean
 
 
 class TestEnergyAccounting:

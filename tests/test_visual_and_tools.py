@@ -1,4 +1,4 @@
-"""Tests for visualization, network stats, multiport runs, CLI, CSV."""
+"""Tests for visualization, network stats, all-ports fleets, CLI, CSV."""
 
 import csv
 
@@ -15,7 +15,8 @@ from repro.analysis.network_stats import (
 )
 from repro.config import HostConfig, SystemConfig
 from repro.experiments.base import ExperimentOutput
-from repro.multiport import simulate_all_ports
+from repro.fleet import run_fleet, uniform_fleet
+from repro.runner import ParallelRunner
 from repro.system import MemoryNetworkSystem
 from repro.topology import build_topology
 
@@ -91,24 +92,33 @@ class TestNetworkStats:
 
 
 class TestMultiPort:
-    def test_all_ports_complete(self):
-        config = small_config(host=HostConfig(num_ports=2))
-        result = simulate_all_ports(config, fast_workload(), requests_per_port=100)
-        assert result.num_ports == 2
-        assert result.total_transactions == 200
-        assert result.runtime_ps == max(r.runtime_ps for r in result.per_port)
+    """Every host port's MN, run as a fleet of identical shards."""
 
-    def test_ports_reasonably_balanced(self):
+    @pytest.fixture(scope="class")
+    def all_ports(self):
         config = small_config(host=HostConfig(num_ports=2))
-        result = simulate_all_ports(config, fast_workload(), requests_per_port=200)
-        assert result.port_balance() < 1.5
+        fleet = uniform_fleet(
+            config.host.num_ports, config, fast_workload(), requests_per_shard=100
+        )
+        runner = ParallelRunner(jobs=1)
+        shards = runner.run(fleet.compile())
+        return fleet, run_fleet(fleet, runner=runner), shards
 
-    def test_merged_collector_and_energy(self):
-        config = small_config(host=HostConfig(num_ports=2))
-        result = simulate_all_ports(config, fast_workload(), requests_per_port=100)
-        merged = result.merged_collector()
-        assert merged.count == 200
-        assert result.energy.total_pj > 0
+    def test_all_ports_complete(self, all_ports):
+        fleet, result, shards = all_ports
+        total = result.total
+        assert total.shards == fleet.num_shards == 2
+        assert total.requests == 2 * 100
+        # the system finishes when its slowest port does
+        assert total.runtime_ps_max == max(shard.runtime_ps for shard in shards)
+        p50, p99 = total.percentile_ns(0.50), total.percentile_ns(0.99)
+        assert 0 < p50 <= p99
+
+    def test_ports_reasonably_balanced(self, all_ports):
+        _, result, _ = all_ports
+        total = result.total
+        mean_runtime_ps = total.runtime_ps_total / total.shards
+        assert total.runtime_ps_max / mean_runtime_ps < 1.5
 
 
 class TestCli:
