@@ -16,7 +16,12 @@ from typing import List, Optional
 
 from repro import visual
 from repro.analysis.network_stats import render_cube_report, render_link_report
-from repro.config import SystemConfig, parse_label
+from repro.config import (
+    VALID_ARBITERS,
+    VALID_TOPOLOGIES,
+    SystemConfig,
+    parse_label,
+)
 from repro.system import MemoryNetworkSystem
 from repro.topology import build_topology
 from repro.workloads import PAPER_SUITE, get_workload
@@ -91,13 +96,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one workload on one MN")
-    sim.add_argument("--topology", default="chain",
-                     choices=["chain", "ring", "tree", "skiplist", "metacube"])
+    sim.add_argument("--topology", default="chain", choices=VALID_TOPOLOGIES)
     sim.add_argument("--label", default="",
                      help='paper-style config label, e.g. "50%%-T (NVM-L)"')
-    sim.add_argument("--arbiter", default="",
-                     help="round_robin | distance | distance_enhanced | "
-                          "age | global_weighted")
+    sim.add_argument("--arbiter", choices=VALID_ARBITERS)
     sim.add_argument("--workload", default="KMEANS")
     sim.add_argument("--requests", type=int, default=2000)
     sim.add_argument("--links", action="store_true",
@@ -107,8 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sim.set_defaults(func=cmd_simulate)
 
     show = sub.add_parser("show", help="render a topology as ASCII")
-    show.add_argument("--topology", default="chain",
-                      choices=["chain", "ring", "tree", "skiplist", "metacube"])
+    show.add_argument("--topology", default="chain", choices=VALID_TOPOLOGIES)
     show.add_argument("--label", default="")
     show.set_defaults(func=cmd_show)
 
@@ -116,8 +117,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     wl.set_defaults(func=cmd_workloads)
 
     check = sub.add_parser("selfcheck", help="run built-in model self-checks")
-    check.add_argument("--topology", default="chain",
-                       choices=["chain", "ring", "tree", "skiplist", "metacube"])
+    check.add_argument("--topology", default="chain", choices=VALID_TOPOLOGIES)
     check.add_argument("--label", default="")
     check.set_defaults(func=cmd_selfcheck)
 

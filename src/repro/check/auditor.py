@@ -32,18 +32,19 @@ router.accounting     grants issued == packets popped from the inputs
 controller.admission  queue + reservations never exceed the depth
 port.window           outstanding reads/writes/p2p copies stay within
                       the MLP window and store buffer
-port.backlog          the split pending lists tile the pending list and
-                      the per-kind counters tile the totals
+port.backlog          the per-kind split pending lists tile the pending
+                      list
 port.directory        directory outstanding writes == port outstanding
                       writes
 txn.conservation      generated == completed + failed + timed-out +
-                      shed (+ in flight mid-run), per kind and in total
+                      shed (+ in flight mid-run), in total and for
+                      reads and writes, from the port's per-kind ledger
 overload.conservation overload dispositions never exceed generation,
                       and retries never exceed deadline expiries
 overload.backlog      with shedding enabled, pending + outstanding
                       (and its high-water mark) never exceed shed_high
 p2p.conservation      peer-to-peer copies conserve: generated ==
-                      completed + failed at end of run
+                      completed + failed + timed-out + shed at end of run
 p2p.leak              no P2P_XFER packet is ever queued on a route that
                       terminates at the host port (cube-to-cube data
                       never crosses a host link)
@@ -67,7 +68,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import InvariantViolation
-from repro.net.packet import PacketKind
+from repro.net.packet import KINDS, P2P, WRITE, PacketKind
 from repro.net.routing import RouteClass
 from repro.obs.attribution import UNATTRIBUTED, PHASES, phase_of
 from repro.topology.base import LinkKind
@@ -348,70 +349,30 @@ class InvariantAuditor:
         port = self.system.port
         host = port.config.host
         if port.open_loop:
-            # Open-loop injection bypasses the window, so only the
-            # sign of the counters is checkable.
-            for name in ("outstanding_reads", "outstanding_writes",
-                         "outstanding_p2p"):
-                if getattr(port, name) < 0:
-                    out.append((
-                        "port.window", "port",
-                        f"negative {name}: {getattr(port, name)}",
-                    ))
+            # Open-loop injection bypasses the window, so only the sign
+            # of the slot counts is checkable.
+            limits = (float("inf"),) * len(KINDS)
         else:
-            if not 0 <= port.outstanding_reads <= port.window:
+            limits = (port.window, host.store_buffer_entries,
+                      host.store_buffer_entries)
+        for kind, held, limit in zip(KINDS, port.outstanding_by, limits):
+            if not 0 <= held <= limit:
                 out.append((
                     "port.window", "port",
-                    f"outstanding reads {port.outstanding_reads} outside "
-                    f"[0, {port.window}]",
+                    f"outstanding {kind} {held} outside [0, {limit}]",
                 ))
-            if not 0 <= port.outstanding_writes <= host.store_buffer_entries:
-                out.append((
-                    "port.window", "port",
-                    f"outstanding writes {port.outstanding_writes} outside "
-                    f"[0, {host.store_buffer_entries}]",
-                ))
-            if not 0 <= port.outstanding_p2p <= host.store_buffer_entries:
-                out.append((
-                    "port.window", "port",
-                    f"outstanding p2p copies {port.outstanding_p2p} outside "
-                    f"[0, {host.store_buffer_entries}]",
-                ))
-        reads = len(port._pending_reads)
-        writes = len(port._pending_writes)
-        p2p = len(port._pending_p2p)
-        if len(port.pending) != reads + writes + p2p:
+        split = [len(pile) for pile in port._pending_by]
+        if len(port.pending) != sum(split):
             out.append((
                 "port.backlog", "port",
-                f"{len(port.pending)} pending != {reads} reads + "
-                f"{writes} writes + {p2p} p2p",
+                f"{len(port.pending)} pending != "
+                + " + ".join(f"{n} {kind}" for kind, n in zip(KINDS, split)),
             ))
-        for total, parts in (
-            ("generated", (port.generated_reads, port.generated_writes,
-                           port.generated_p2p)),
-            ("completed", (port.completed_reads, port.completed_writes,
-                           port.completed_p2p)),
-            ("failed", (port.failed_reads, port.failed_writes,
-                        port.failed_p2p)),
-            ("timeouts", (port.timeout_reads, port.timeout_writes,
-                          port.timeout_p2p)),
-            ("retries", (port.retried_reads, port.retried_writes,
-                         port.retried_p2p)),
-            ("timed_out", (port.timed_out_reads, port.timed_out_writes,
-                           port.timed_out_p2p)),
-            ("shed", (port.shed_reads, port.shed_writes, port.shed_p2p)),
-        ):
-            whole = getattr(port, total)
-            if whole != sum(parts):
-                out.append((
-                    "port.backlog", "port",
-                    f"{total} {whole} != reads {parts[0]} + writes "
-                    f"{parts[1]} + p2p {parts[2]}",
-                ))
-        if port.directory.outstanding_writes != port.outstanding_writes:
+        if port.directory.outstanding_writes != port.outstanding_by[WRITE]:
             out.append((
                 "port.directory", "port",
                 f"directory holds {port.directory.outstanding_writes} "
-                f"writes, port holds {port.outstanding_writes}",
+                f"writes, port holds {port.outstanding_by[WRITE]}",
             ))
         retired = port.completed + port.failed + port.timed_out + port.shed
         if retired > port.generated or port.generated > port.total_requests:
@@ -435,21 +396,17 @@ class InvariantAuditor:
                     f"+ {port.timed_out} timed out + {port.shed} shed "
                     f"!= {port.generated} generated",
                 ))
-            for invariant, kind, gen, done, failed, lost in (
-                ("txn.conservation", "reads", port.generated_reads,
-                 port.completed_reads, port.failed_reads,
-                 port.timed_out_reads + port.shed_reads),
-                ("txn.conservation", "writes", port.generated_writes,
-                 port.completed_writes, port.failed_writes,
-                 port.timed_out_writes + port.shed_writes),
-                ("p2p.conservation", "p2p copies", port.generated_p2p,
-                 port.completed_p2p, port.failed_p2p,
-                 port.timed_out_p2p + port.shed_p2p),
-            ):
+            for kind, label in enumerate(KINDS):
+                gen = port.generated_by[kind]
+                done = port.completed_by[kind]
+                failed = port.failed_by[kind]
+                lost = port.timed_out_by[kind] + port.shed_by[kind]
                 if gen != done + failed + lost:
                     out.append((
-                        invariant, "port",
-                        f"{kind}: generated {gen} != completed {done} "
+                        "p2p.conservation" if kind == P2P
+                        else "txn.conservation",
+                        "port",
+                        f"{label}: generated {gen} != completed {done} "
                         f"+ failed {failed} + timed-out/shed {lost}",
                     ))
 
@@ -466,21 +423,15 @@ class InvariantAuditor:
         overload = port.config.overload
         if not port._overload:
             return
-        for kind, gen, settled in (
-            ("reads", port.generated_reads,
-             port.completed_reads + port.failed_reads
-             + port.timed_out_reads + port.shed_reads),
-            ("writes", port.generated_writes,
-             port.completed_writes + port.failed_writes
-             + port.timed_out_writes + port.shed_writes),
-            ("p2p copies", port.generated_p2p,
-             port.completed_p2p + port.failed_p2p
-             + port.timed_out_p2p + port.shed_p2p),
+        for label, gen, *dispositions in zip(
+            KINDS, port.generated_by, port.completed_by, port.failed_by,
+            port.timed_out_by, port.shed_by,
         ):
+            settled = sum(dispositions)
             if settled > gen:
                 out.append((
                     "overload.conservation", "port",
-                    f"{kind}: {settled} dispositions exceed {gen} generated",
+                    f"{label}: {settled} dispositions exceed {gen} generated",
                 ))
         if port.retries > port.timeouts:
             out.append((

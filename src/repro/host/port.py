@@ -7,6 +7,17 @@ Each port issues the workload's request stream subject to:
 * the directory rule (reads stall behind outstanding writes to the
   same line — required for skip-list consistency, Section 4.2).
 
+Reads, writes and p2p copies share one lifecycle — generate, queue,
+claim, inject, complete or terminate — and differ only in their gate:
+reads use the MLP window, writes the store buffer ("off the critical
+path", Section 4.2), and p2p copies a DMA queue sized like the store
+buffer.  The port therefore keeps one per-kind *ledger*: every counter
+is a 3-slot list indexed by ``Transaction.kind`` (``READ``, ``WRITE``,
+``P2P`` from repro.net.packet), and the totals (``generated``,
+``completed``, ``failed``, ...) are read-only sums over it, so a total
+can never disagree with its parts.  Each generated request ends in
+exactly one of completed / failed (RAS) / timed out / shed.
+
 Two Section 4.2/5.3 refinements live here because they are decisions
 made "when injecting to the network":
 
@@ -25,7 +36,7 @@ from repro.errors import WorkloadError
 from repro.host.address_map import AddressMap, Location
 from repro.host.directory import Directory
 from repro.net.buffers import InputQueue
-from repro.net.packet import Packet, Transaction
+from repro.net.packet import KINDS, P2P, READ, WRITE, Packet, Transaction
 from repro.net.pool import PacketPool
 from repro.net.routing import RouteClass, RouteTable
 from repro.net.router import Router
@@ -43,21 +54,28 @@ _SEG_RESP_PORT = segment_code("resp.port")
 # collapses to host.timeout.<kind>, and the backoff + re-queue wait
 # [timeout, next claim] becomes host.retry.<kind>, so a retried request's
 # segments still tile its end-to-end latency exactly (zero residual).
-_KINDS = ("read", "write", "p2p")
-_SEG_TIMEOUT = {kind: segment_code(f"host.timeout.{kind}") for kind in _KINDS}
-_SEG_RETRY = {kind: segment_code(f"host.retry.{kind}") for kind in _KINDS}
+# Both tuples are indexed by Transaction.kind.
+_SEG_TIMEOUT = tuple(segment_code(f"host.timeout.{kind}") for kind in KINDS)
+_SEG_RETRY = tuple(segment_code(f"host.retry.{kind}") for kind in KINDS)
 
 
-def _kind_of(txn: Transaction) -> str:
-    if txn.is_write:
-        return "write"
-    if txn.is_p2p:
-        return "p2p"
-    return "read"
+def _summed(ledger: str) -> property:
+    """A read-only total over one per-kind ledger list."""
+    return property(lambda self: sum(getattr(self, ledger)))
 
 
 class HostPort:
     """One memory port of the APU driving one MN."""
+
+    # Totals over the per-kind ledger lists set up in __init__.
+    generated = _summed("generated_by")
+    completed = _summed("completed_by")
+    failed = _summed("failed_by")
+    timeouts = _summed("timeouts_by")
+    retries = _summed("retried_by")
+    timed_out = _summed("timed_out_by")
+    shed = _summed("shed_by")
+    outstanding = _summed("outstanding_by")
 
     def __init__(
         self,
@@ -97,16 +115,29 @@ class HostPort:
 
         self.directory = Directory()
         self.pending: List[Transaction] = []  # generated, not yet injected
-        # the same backlog split by kind, for room-gated selection scans
-        self._pending_reads: List[Transaction] = []
-        self._pending_writes: List[Transaction] = []
-        self._pending_p2p: List[Transaction] = []
-        self.outstanding_reads = 0
-        self.outstanding_writes = 0
-        # Peer-to-peer copies run on the DMA engine's queue, sized like
-        # the store buffer: copies leave the core's critical path once
-        # issued, so they must not consume read MLP.
-        self.outstanding_p2p = 0
+        # The per-kind ledger, indexed by Transaction.kind.  The backlog
+        # is also kept split by kind (same order as ``pending``) for
+        # room-gated selection scans; only _enqueue/_dequeue touch it.
+        self._pending_by: List[List[Transaction]] = [[], [], []]
+        # Claimed window slots: reads against the MLP window, writes
+        # against the store buffer, and p2p copies against the DMA
+        # engine's queue, sized like the store buffer — copies leave the
+        # core's critical path once issued, so they must not consume
+        # read MLP.
+        self.outstanding_by = [0, 0, 0]
+        self.generated_by = [0, 0, 0]
+        self.completed_by = [0, 0, 0]
+        # RAS: requests failed as host-level errors (dest cube became
+        # unreachable after a permanent failure).
+        self.failed_by = [0, 0, 0]
+        # Overload events, counted per attempt: deadline expiries and
+        # re-issues.
+        self.timeouts_by = [0, 0, 0]
+        self.retried_by = [0, 0, 0]
+        # Overload dispositions: deadline with retries spent, and
+        # admission refused.
+        self.timed_out_by = [0, 0, 0]
+        self.shed_by = [0, 0, 0]
         # Destination-cube selection for p2p copies (config.p2p_pattern).
         # ``cube_techs`` aligns with ``cube_node_ids``; the "promote"
         # pattern moves lines to the opposite technology tier.
@@ -120,28 +151,12 @@ class HostPort:
         self._retire_head = 0
         self._completed_reads = set()
         self.issued = 0
-        self.completed = 0
-        self.generated = 0
-        # Maintained eagerly (see _update_done): the engine's stop
-        # predicate reads this once per event, so it must be a plain
-        # attribute, not a property recomputing the sum.
+        # Maintained eagerly by _update_done, so the system's check
+        # after every finished transaction is one attribute read.
         self.done = total_requests <= 0
-        # per-kind conservation counters (repro.check): at end of run
-        # generated_k == completed_k + failed_k must hold for each kind
-        self.generated_reads = 0
-        self.generated_writes = 0
-        self.generated_p2p = 0
-        self.completed_reads = 0
-        self.completed_writes = 0
-        self.completed_p2p = 0
-        self.failed_reads = 0
-        self.failed_writes = 0
-        self.failed_p2p = 0
-        # RAS: requests failed as host-level errors (dest cube became
-        # unreachable after a permanent failure) and responses that beat
-        # the failure across the cut after their transaction was already
-        # errored (conservatively ignored; see docs/ras.md).
-        self.failed = 0
+        # RAS: responses that beat the failure across the cut after
+        # their transaction was already errored (conservatively
+        # ignored; see docs/ras.md).
         self.late_responses = 0
         self._degraded = False
         # Only runs with scheduled permanent failures pay for tracking
@@ -186,25 +201,6 @@ class HostPort:
         self._shedding = False  # hysteresis state: admission closed
         self._overload = open_loop or overload.enabled
         self.tracer = None  # set by the system when tracing is on
-        # event counters: deadline expiries and re-issues (per attempt)
-        self.timeouts = 0
-        self.timeout_reads = 0
-        self.timeout_writes = 0
-        self.timeout_p2p = 0
-        self.retries = 0
-        self.retried_reads = 0
-        self.retried_writes = 0
-        self.retried_p2p = 0
-        # disposition counters: each generated request ends in exactly
-        # one of completed / failed / timed_out / shed
-        self.timed_out = 0
-        self.timed_out_reads = 0
-        self.timed_out_writes = 0
-        self.timed_out_p2p = 0
-        self.shed = 0
-        self.shed_reads = 0
-        self.shed_writes = 0
-        self.shed_p2p = 0
         # responses of deadline-cancelled attempts, dropped on arrival
         self.stale_responses = 0
         # high-water mark of pending + outstanding (the shed bound)
@@ -218,13 +214,14 @@ class HostPort:
         engine.schedule(0, self._next_arrival)
 
     def _next_arrival(self, engine: Engine) -> None:
-        if self.generated >= self.total_requests:
+        generated = self.generated
+        if generated >= self.total_requests:
             return
         try:
             request = next(self.workload)
         except StopIteration:
             raise WorkloadError(
-                f"workload exhausted after {self.generated} of "
+                f"workload exhausted after {generated} of "
                 f"{self.total_requests} requests"
             ) from None
         txn = Transaction(
@@ -236,7 +233,7 @@ class HostPort:
         )
         if self._attribution and (
             self._attr_sample == 1
-            or self.generated % self._attr_sample == self._attr_phase
+            or generated % self._attr_sample == self._attr_phase
         ):
             txn.segments = (
                 [] if self._attr_mask is None
@@ -245,14 +242,9 @@ class HostPort:
             self.attribution_sampled += 1
         txn.location = self.address_map.decode(request.address)
         txn.dest_cube = self.cube_node_ids[txn.location.cube_index]
-        if request.is_write:
-            self.generated_writes += 1
-        elif request.is_p2p:
+        if txn.kind == P2P:
             self._assign_p2p_dest(txn)
-            self.generated_p2p += 1
-        else:
-            self.generated_reads += 1
-        self.generated += 1
+        self.generated_by[txn.kind] += 1
         self._observe_for_hysteresis(request.is_write)
         if self._overload and not self._admit():
             # Admission is closed (hysteresis above shed_high): the
@@ -260,20 +252,9 @@ class HostPort:
             # bounds the backlog and turns collapse into a plateau.
             self._shed_txn(engine, txn)
         else:
-            self.pending.append(txn)
-            if request.is_write:
-                self._pending_writes.append(txn)
-            elif request.is_p2p:
-                self._pending_p2p.append(txn)
-            else:
-                self._pending_reads.append(txn)
-            if self._deadline_ps:
-                engine.schedule(self._deadline_ps, self._deadline_expired, txn)
-            self.try_inject(engine)
+            self._enqueue(engine, txn)
         if self._overload:
-            backlog = len(self.pending) + self.outstanding
-            if backlog > self.peak_backlog:
-                self.peak_backlog = backlog
+            self._note_backlog()
         if self.generated < self.total_requests:
             engine.schedule(max(request.gap_ps, 0), self._next_arrival)
 
@@ -340,82 +321,63 @@ class HostPort:
             self.write_burst_mode = False
             self.burst_mode_toggles += 1
 
+    # -- backlog -----------------------------------------------------------------
+    def _enqueue(self, engine: Engine, txn: Transaction) -> None:
+        """Queue one attempt, arm its deadline, and try to issue."""
+        self.pending.append(txn)
+        self._pending_by[txn.kind].append(txn)
+        if self._deadline_ps:
+            engine.schedule(self._deadline_ps, self._deadline_expired, txn)
+        self.try_inject(engine)
+
+    def _dequeue(self, txn: Transaction) -> None:
+        self.pending.remove(txn)
+        self._pending_by[txn.kind].remove(txn)
+
+    def _note_backlog(self) -> None:
+        """Raise the pending + outstanding high-water mark if exceeded."""
+        backlog = len(self.pending) + self.outstanding
+        if backlog > self.peak_backlog:
+            self.peak_backlog = backlog
+
     # -- injection ---------------------------------------------------------------
-    def _has_room(self, txn: Transaction) -> bool:
-        """Reads use the MLP window; writes use the store buffer.
-
-        Writes leave the core's critical path once issued (Section 4.2),
-        so they must not consume read MLP — this is what lets the
-        skip-list push writes onto longer paths without stalling reads.
-        Peer-to-peer copies ride the DMA engine's queue, sized like the
-        store buffer, for the same reason.
-        """
-        if txn.is_write:
-            return self.outstanding_writes < self.config.host.store_buffer_entries
-        if txn.is_p2p:
-            return self.outstanding_p2p < self.config.host.store_buffer_entries
-        return self.outstanding_reads < self.window
-
     def _select_next(
-        self, read_room: bool, write_room: bool, p2p_room: bool = False
+        self, read_room: bool, write_room: bool, p2p_room: bool
     ) -> Optional[Transaction]:
         """Pick the next pending transaction to inject.
 
-        The backlog is kept split by kind (``_pending_reads`` /
-        ``_pending_writes`` / ``_pending_p2p``, all in generation order)
-        so that when one window is full — the common case is a full read
-        window over a read-heavy backlog — the scan skips the other
-        kinds' piles wholesale instead of filtering them element by
-        element.  Selection is unchanged: first eligible read (when
-        read-priority injection is on), else the first eligible
-        transaction in generation order; p2p copies count as
-        non-priority traffic, like writes.
+        Selection is the first eligible read (when read-priority
+        injection is on), else the first eligible transaction in
+        generation order; p2p copies count as non-priority traffic,
+        like writes.  When the read window is full over a p2p-free
+        backlog (or the store buffer is), the scan walks only the other
+        kind's split list instead of filtering ``pending`` element by
+        element.
         """
         can_issue = self.directory.can_issue
-        if not self._pending_p2p:
-            # two-kind fast paths (p2p-free backlog, the common case)
+        pending_by = self._pending_by
+        if not pending_by[P2P]:
             if not read_room:
-                for txn in self._pending_writes:
+                for txn in pending_by[WRITE]:
                     if can_issue(txn.address, True):
                         return txn
                 return None
             if not write_room:
-                for txn in self._pending_reads:
+                for txn in pending_by[READ]:
                     if can_issue(txn.address, False):
                         return txn
                 return None
-            read_priority = self.config.host.read_priority_injection
-            first_eligible = None
-            for txn in self.pending:
-                is_write = txn.is_write
-                if not can_issue(txn.address, is_write):
-                    continue
-                if read_priority:
-                    if not is_write:
-                        return txn  # first eligible read bypasses writes
-                    if first_eligible is None:
-                        first_eligible = txn
-                else:
-                    return txn
-            return first_eligible
-        # general scan: every kind gated by its own window.  A p2p copy
-        # claims the directory as a *read* of its source address.
+        # Every kind gated by its own window.  A p2p copy claims the
+        # directory as a *read* of its source address.
+        room = (read_room, write_room, p2p_room)
         read_priority = self.config.host.read_priority_injection
         first_eligible = None
         for txn in self.pending:
-            if txn.is_write:
-                if not write_room or not can_issue(txn.address, True):
-                    continue
-            elif txn.is_p2p:
-                if not p2p_room or not can_issue(txn.address, False):
-                    continue
-            else:
-                if not read_room or not can_issue(txn.address, False):
-                    continue
-                if read_priority:
-                    return txn  # first eligible read bypasses the rest
-            if not read_priority:
-                return txn
+            kind = txn.kind
+            if not room[kind] or not can_issue(txn.address, kind == WRITE):
+                continue
+            if not read_priority or kind == READ:
+                return txn  # with priority, the first eligible read wins
             if first_eligible is None:
                 first_eligible = txn
         return first_eligible
@@ -423,18 +385,20 @@ class HostPort:
     def try_inject(self, engine: Engine) -> None:
         host = self.config.host
         open_loop = self.open_loop
+        outstanding = self.outstanding_by
+        pending_p2p = self._pending_by[P2P]
         while self.pending:
             if open_loop:
                 # Open-loop arrivals model an external population, not a
                 # finite-MLP core: the window never gates injection and
                 # only network backpressure (and the directory) throttles.
                 read_room = write_room = True
-                p2p_room = bool(self._pending_p2p)
+                p2p_room = bool(pending_p2p)
             else:
-                read_room = self.outstanding_reads < self.window
-                write_room = self.outstanding_writes < host.store_buffer_entries
-                if self._pending_p2p:
-                    p2p_room = self.outstanding_p2p < host.store_buffer_entries
+                read_room = outstanding[READ] < self.window
+                write_room = outstanding[WRITE] < host.store_buffer_entries
+                if pending_p2p:
+                    p2p_room = outstanding[P2P] < host.store_buffer_entries
                     if not read_room and not write_room and not p2p_room:
                         return  # no window slot of any kind is free
                 else:
@@ -444,15 +408,9 @@ class HostPort:
             txn = self._select_next(read_room, write_room, p2p_room)
             if txn is None:
                 return  # everything pending is blocked or out of room
-            self.pending.remove(txn)
-            if txn.is_write:
-                self._pending_writes.remove(txn)
-            elif txn.is_p2p:
-                self._pending_p2p.remove(txn)
-            else:
-                self._pending_reads.remove(txn)
+            self._dequeue(txn)
             if self._degraded and not self._reachable(txn):
-                self._fail_unissued(engine, txn)
+                self._terminate(engine, txn, self.failed_by)
                 continue
             # claim_ps is this attempt's grant; start_ps stays pinned at
             # the *first* grant so total_ps spans retries.
@@ -463,12 +421,12 @@ class HostPort:
             if seg is not None:
                 if txn.retry_mark is not None:
                     # backoff + re-queue wait of a retried request
-                    seg.append((_SEG_RETRY[_kind_of(txn)], txn.retry_mark,
+                    seg.append((_SEG_RETRY[txn.kind], txn.retry_mark,
                                 engine.now))
                     txn.retry_mark = None
                 txn.seg_mark = len(seg)
                 txn.seg_suppressed = getattr(seg, "suppressed_ps", 0)
-            if not txn.is_write and not txn.is_p2p:
+            if txn.kind == READ:
                 txn.read_seq = self._read_seq
                 self._read_seq += 1
             # The request crosses the on-chip path from the coherence
@@ -476,12 +434,7 @@ class HostPort:
             # window slot and directory entry are claimed now, so
             # ordering decisions happen at the coherence point.
             self.directory.issued(txn.address, txn.is_write)
-            if txn.is_write:
-                self.outstanding_writes += 1
-            elif txn.is_p2p:
-                self.outstanding_p2p += 1
-            else:
-                self.outstanding_reads += 1
+            outstanding[txn.kind] += 1
             if self._track_outstanding:
                 self._outstanding_txns.add(txn)
             engine.schedule(self.config.host.port_latency_ps, self._reach_port, txn)
@@ -595,13 +548,7 @@ class HostPort:
             seg_start = engine.now - self.config.host.port_latency_ps
             txn.segments.append((_SEG_RESP_PORT, seg_start, engine.now))
         self._release_claims(txn)
-        self.completed += 1
-        if txn.is_write:
-            self.completed_writes += 1
-        elif txn.is_p2p:
-            self.completed_p2p += 1
-        else:
-            self.completed_reads += 1
+        self.completed_by[txn.kind] += 1
         self._update_done()
         self.on_transaction_done(engine, txn)
         self.try_inject(engine)
@@ -609,19 +556,15 @@ class HostPort:
     def _release_claims(self, txn: Transaction) -> None:
         """Free the directory entry and window/store-buffer slot."""
         self.directory.completed(txn.address, txn.is_write)
-        if txn.is_write:
-            self.outstanding_writes -= 1
-        elif txn.is_p2p:
-            self.outstanding_p2p -= 1
-        elif self.config.host.inorder_retire:
+        if txn.kind == READ and self.config.host.inorder_retire:
             # the slot frees only when all older reads are also back
             self._completed_reads.add(txn.read_seq)
             while self._retire_head in self._completed_reads:
                 self._completed_reads.discard(self._retire_head)
                 self._retire_head += 1
-                self.outstanding_reads -= 1
+                self.outstanding_by[READ] -= 1
         else:
-            self.outstanding_reads -= 1
+            self.outstanding_by[txn.kind] -= 1
         if self._track_outstanding:
             self._outstanding_txns.discard(txn)
 
@@ -648,21 +591,26 @@ class HostPort:
             return False
         return True
 
-    def _shed_txn(self, engine: Engine, txn: Transaction) -> None:
-        """Refuse admission: the request terminates as shed, unserved."""
-        txn.failed = True  # terminal marker: never a latency sample
+    def _terminate(
+        self, engine: Engine, txn: Transaction, ledger: List[int]
+    ) -> None:
+        """End one logical request unserved, counted in ``ledger``.
+
+        The shared tail of shed, abandon and RAS failure: ``failed`` is
+        the terminal marker (never a latency sample), and ``complete_ps``
+        is when the host learns of the outcome.
+        """
+        txn.failed = True
         txn.complete_ps = engine.now
-        self.shed += 1
-        if txn.is_write:
-            self.shed_writes += 1
-        elif txn.is_p2p:
-            self.shed_p2p += 1
-        else:
-            self.shed_reads += 1
-        if self.tracer is not None:
-            self.tracer.host_shed(engine.now, txn.tid)
+        ledger[txn.kind] += 1
         self._update_done()
         self.on_transaction_done(engine, txn)
+
+    def _shed_txn(self, engine: Engine, txn: Transaction) -> None:
+        """Refuse admission: the request terminates as shed, unserved."""
+        if self.tracer is not None:
+            self.tracer.host_shed(engine.now, txn.tid)
+        self._terminate(engine, txn, self.shed_by)
 
     def _deadline_expired(self, engine: Engine, txn: Transaction) -> None:
         """The end-to-end deadline of one attempt fired.
@@ -677,18 +625,11 @@ class HostPort:
         """
         if txn.complete_ps is not None or txn.failed or txn.landing:
             return
-        kind = _kind_of(txn)
-        self.timeouts += 1
-        if txn.is_write:
-            self.timeout_writes += 1
-        elif txn.is_p2p:
-            self.timeout_p2p += 1
-        else:
-            self.timeout_reads += 1
+        self.timeouts_by[txn.kind] += 1
         if self.tracer is not None:
             self.tracer.host_timeout(engine.now, txn.tid, txn.retries)
         if txn.claim_ps is None:
-            self._remove_pending(txn)
+            self._dequeue(txn)
             self._abandon(engine, txn)
             return
         # Cancel the attempt in service.  The transaction object stays
@@ -703,7 +644,7 @@ class HostPort:
                 # roll the masked list's dropped-span tally back to the
                 # claim too: the truncated spans no longer count
                 seg.suppressed_ps = txn.seg_suppressed
-            seg.append((_SEG_TIMEOUT[kind], txn.claim_ps, engine.now))
+            seg.append((_SEG_TIMEOUT[txn.kind], txn.claim_ps, engine.now))
         self._release_claims(txn)
         txn.failed = True
         txn.timed_out = True
@@ -715,29 +656,10 @@ class HostPort:
             self._abandon(engine, txn)
         self.try_inject(engine)
 
-    def _remove_pending(self, txn: Transaction) -> None:
-        self.pending.remove(txn)
-        if txn.is_write:
-            self._pending_writes.remove(txn)
-        elif txn.is_p2p:
-            self._pending_p2p.remove(txn)
-        else:
-            self._pending_reads.remove(txn)
-
     def _abandon(self, engine: Engine, txn: Transaction) -> None:
         """Terminal timed-out disposition for one logical request."""
-        txn.failed = True
         txn.timed_out = True
-        txn.complete_ps = engine.now
-        self.timed_out += 1
-        if txn.is_write:
-            self.timed_out_writes += 1
-        elif txn.is_p2p:
-            self.timed_out_p2p += 1
-        else:
-            self.timed_out_reads += 1
-        self._update_done()
-        self.on_transaction_done(engine, txn)
+        self._terminate(engine, txn, self.timed_out_by)
 
     def _clone_for_retry(self, engine: Engine, txn: Transaction) -> Transaction:
         """A fresh attempt object carrying the logical request's history.
@@ -779,48 +701,14 @@ class HostPort:
         if self._overload and not self._admit():
             self._abandon(engine, clone)
             return
-        self.retries += 1
-        if clone.is_write:
-            self.retried_writes += 1
-        elif clone.is_p2p:
-            self.retried_p2p += 1
-        else:
-            self.retried_reads += 1
+        self.retried_by[clone.kind] += 1
         if self.tracer is not None:
             self.tracer.host_retry(engine.now, clone.tid, clone.retries)
-        self.pending.append(clone)
-        if clone.is_write:
-            self._pending_writes.append(clone)
-        elif clone.is_p2p:
-            self._pending_p2p.append(clone)
-        else:
-            self._pending_reads.append(clone)
-        if self._deadline_ps:
-            engine.schedule(self._deadline_ps, self._deadline_expired, clone)
-        self.try_inject(engine)
+        self._enqueue(engine, clone)
         if self._overload:
-            backlog = len(self.pending) + self.outstanding
-            if backlog > self.peak_backlog:
-                self.peak_backlog = backlog
+            self._note_backlog()
 
     # -- RAS degradation ---------------------------------------------------------
-    def _fail_common(self, engine: Engine, txn: Transaction) -> None:
-        txn.failed = True
-        txn.complete_ps = engine.now  # the host learns of the error now
-        self.failed += 1
-        if txn.is_write:
-            self.failed_writes += 1
-        elif txn.is_p2p:
-            self.failed_p2p += 1
-        else:
-            self.failed_reads += 1
-        self._update_done()
-        self.on_transaction_done(engine, txn)
-
-    def _fail_unissued(self, engine: Engine, txn: Transaction) -> None:
-        """Error a transaction that never claimed a slot (still pending)."""
-        self._fail_common(engine, txn)
-
     def fail_issued(self, engine: Engine, txn: Transaction) -> None:
         """Error a claimed transaction (at the port or in the network).
 
@@ -830,7 +718,7 @@ class HostPort:
         if txn.failed or txn.complete_ps is not None:
             return
         self._release_claims(txn)
-        self._fail_common(engine, txn)
+        self._terminate(engine, txn, self.failed_by)
 
     def adopt_route_table(self, route_table: RouteTable) -> None:
         """A permanent failure rebuilt the routes: adopt the degraded
@@ -848,18 +736,10 @@ class HostPort:
         Transactions to still-reachable cubes are untouched — their
         packets were rerouted by the system's quiesce walk.
         """
-        still_pending = []
-        for txn in self.pending:
-            if self._reachable(txn):
-                still_pending.append(txn)
-            else:
-                self._fail_unissued(engine, txn)
-        self.pending = still_pending
-        self._pending_reads = [
-            t for t in still_pending if not t.is_write and not t.is_p2p
-        ]
-        self._pending_writes = [t for t in still_pending if t.is_write]
-        self._pending_p2p = [t for t in still_pending if t.is_p2p]
+        for txn in list(self.pending):
+            if not self._reachable(txn):
+                self._dequeue(txn)
+                self._terminate(engine, txn, self.failed_by)
         for txn in list(self._outstanding_txns):
             if not self._reachable(txn):
                 self.fail_issued(engine, txn)
@@ -867,10 +747,6 @@ class HostPort:
         # may admit pending work immediately.
         self._pump(engine)
         self.try_inject(engine)
-
-    @property
-    def outstanding(self) -> int:
-        return self.outstanding_reads + self.outstanding_writes + self.outstanding_p2p
 
     def _update_done(self) -> None:
         """Refresh the cached termination flag after a completion/error.

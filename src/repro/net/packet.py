@@ -21,6 +21,11 @@ from typing import List, Optional, Tuple
 
 from repro.config import PacketConfig
 
+#: Transaction kinds, as indices into the host port's per-kind ledger
+#: (repro.host.port) and into :data:`KINDS` for labels.
+READ, WRITE, P2P = 0, 1, 2
+KINDS = ("read", "write", "p2p")
+
 
 class PacketKind(enum.IntEnum):
     READ_REQ = 0
@@ -199,6 +204,7 @@ class Transaction:
         "address",
         "is_write",
         "is_p2p",
+        "kind",
         "port_id",
         "dest_cube",
         "location",
@@ -244,6 +250,7 @@ class Transaction:
         # the line to ``p2p_dest_cube``.  ``is_write`` stays False — the
         # directory treats the copy as a read of the source address.
         self.is_p2p = is_p2p
+        self.kind = WRITE if is_write else P2P if is_p2p else READ
         self.port_id = port_id
         self.dest_cube: Optional[int] = None
         self.location = None  # decoded (cube, quadrant, bank, row)

@@ -233,10 +233,10 @@ Engine_schedule_bound(NativeEngine *self, PyObject *const *args, Py_ssize_t narg
 static PyObject *
 Engine_run(NativeEngine *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"until", "max_events", "stop_when", NULL};
-    PyObject *until_obj = Py_None, *max_obj = Py_None, *stop_when = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|OOO", kwlist,
-                                     &until_obj, &max_obj, &stop_when))
+    static char *kwlist[] = {"until", "max_events", NULL};
+    PyObject *until_obj = Py_None, *max_obj = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|OO", kwlist,
+                                     &until_obj, &max_obj))
         return NULL;
     int bounded = until_obj != Py_None;
     long long until = 0;
@@ -252,7 +252,6 @@ Engine_run(NativeEngine *self, PyObject *args, PyObject *kwargs)
         if (max_events == -1 && PyErr_Occurred())
             return NULL;
     }
-    int has_pred = stop_when != Py_None;
     PyObject *tracer =
         (self->tracer != NULL && self->tracer != Py_None) ? self->tracer : NULL;
 
@@ -332,21 +331,6 @@ Engine_run(NativeEngine *self, PyObject *args, PyObject *kwargs)
                                 "event limit %lld exceeded at t=%lld; "
                                 "likely livelock",
                                 max_events, self->now);
-        }
-        if (has_pred) {
-            PyObject *flag = PyObject_CallNoArgs(stop_when);
-            if (flag == NULL) {
-                error = 1;
-                goto done;
-            }
-            int truthy = PyObject_IsTrue(flag);
-            Py_DECREF(flag);
-            if (truthy < 0) {
-                error = 1;
-                goto done;
-            }
-            if (truthy)
-                goto done;
         }
         if (self->stop) {
             self->stop = 0;

@@ -197,20 +197,18 @@ class Engine:
         # request_stop() latch: consumed (cleared) by the run loop when
         # it honors the request, NOT cleared at run() entry — a stop
         # requested before run() begins (the zero-request edge) must
-        # stop the run after its first event, exactly as the old
-        # per-event ``stop_when`` predicate did.
+        # stop the run after its first event.
         self._stop = False
 
     def request_stop(self) -> None:
         """Stop the active :meth:`run` once the event now dispatching
         completes.
 
-        The deterministic replacement for a per-event ``stop_when``
-        predicate: callers flip it from *inside* an event callback (the
-        system does, when the last transaction completes), and the loop
-        honors it at the same post-event boundary the predicate was
-        checked at — dispatch order and stopping event are identical,
-        without paying a Python-level predicate call per event.
+        Callers flip it from *inside* an event callback (the system
+        does, when the last transaction completes); the loop honors it
+        right after that event, so the clock stays at the stopping
+        event even under an ``until`` bound, and the check costs one
+        flag test per event rather than a Python-level call.
         """
         self._stop = True
 
@@ -328,7 +326,6 @@ class Engine:
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run until the queue drains, ``until`` is reached, or a limit hits.
 
@@ -339,55 +336,15 @@ class Engine:
             queued and ``now`` advances to ``until``.
         max_events:
             Safety valve against runaway simulations.
-        stop_when:
-            Optional predicate checked after every event; the run stops
-            as soon as it returns True.
 
-        Returns the number of events processed during this call.
+        A :meth:`request_stop` from inside a callback ends the run after
+        that event, whatever the bounds.  Returns the number of events
+        processed during this call.
         """
         if self._tracer is not None:
-            return self._run_traced(until, max_events, stop_when)
-        if until is not None or max_events is not None or stop_when is not None:
-            return self._run_bounded(until, max_events, stop_when)
-        # Fast path: run the queue dry with no per-event bound checks.
+            return self._run_traced(until, max_events)
         # This loop dominates every simulation's wall-clock time, so the
         # near heap and heappop are bound to locals.
-        processed = 0
-        pop = heappop
-        self._running = True
-        try:
-            while True:
-                # Callbacks can push but never swap the near list (only
-                # _refill does, between inner loops), so the alias holds.
-                near = self._near
-                while near:
-                    time, _seq, callback, args = pop(near)
-                    self.now = time
-                    callback(self, *args)
-                    processed += 1
-                    if self._stop:
-                        self._stop = False
-                        return processed
-                if not self._refill():
-                    return processed
-        finally:
-            self._pending -= processed
-            self._events_processed += processed
-            self._running = False
-
-    def _peek_time(self) -> Optional[int]:
-        """Earliest pending event time, promoting buckets as needed."""
-        while not self._near:
-            if not self._refill():
-                return None
-        return self._near[0][0]
-
-    def _run_bounded(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> int:
         processed = 0
         pop = heappop
         bounded = until is not None
@@ -420,8 +377,6 @@ class Engine:
                         f"event limit {max_events} exceeded at t={self.now}; "
                         "likely livelock"
                     )
-                if stop_when is not None and stop_when():
-                    return processed
                 if self._stop:
                     self._stop = False
                     return processed
@@ -430,11 +385,15 @@ class Engine:
             self._events_processed += processed
             self._running = False
 
+    def _peek_time(self) -> Optional[int]:
+        """Earliest pending event time, promoting buckets as needed."""
+        while not self._near:
+            if not self._refill():
+                return None
+        return self._near[0][0]
+
     def _run_traced(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
+        self, until: Optional[int], max_events: Optional[int]
     ) -> int:
         """The :meth:`run` loop with per-event trace emission.
 
@@ -472,8 +431,6 @@ class Engine:
                         f"event limit {max_events} exceeded at t={self.now}; "
                         "likely livelock"
                     )
-                if stop_when is not None and stop_when():
-                    return processed
                 if self._stop:
                     self._stop = False
                     return processed

@@ -24,7 +24,7 @@ from repro.host import AddressMap, HostNode, HostPort
 from repro.memory import MemoryCube
 from repro.net.buffers import InputQueue
 from repro.net.link import Link, SharedChannel
-from repro.net.packet import Packet, PacketKind, Transaction
+from repro.net.packet import P2P, Packet, PacketKind, Transaction
 from repro.net.pool import PacketPool
 from repro.net.router import LinkOutput, Router
 from repro.net.routing import RouteClass, RouteTable, cached_bfs_paths
@@ -593,8 +593,8 @@ class MemoryNetworkSystem:
                 self.collector.last_complete_ps = txn.complete_ps
         if self.port.done:
             # The port flipped ``done`` immediately before this hook, so
-            # stopping here is the same event boundary the old
-            # per-event ``stop_when`` predicate stopped at.
+            # the run stops at the end of the event that finished the
+            # last transaction.
             engine.request_stop()
 
     # ------------------------------------------------------------------
@@ -612,13 +612,12 @@ class MemoryNetworkSystem:
         if self.port.done:
             # Zero-request run: nothing will ever complete, so nothing
             # calls request_stop — pre-arm it so the run stops after
-            # its first event, exactly where the old per-event
-            # ``stop_when`` predicate stopped it.
+            # its first event.
             self.engine.request_stop()
         # Completion is signalled by request_stop from _transaction_done
         # (the port flips ``done`` then invokes that hook within the
-        # same event), replacing a per-event predicate call with one
-        # flag check inside the dispatch loop.
+        # same event), so the dispatch loop pays one flag check per
+        # event.
         self.engine.run(max_events=max_events)
         if not self.port.done:
             if self.auditor is not None:
@@ -658,11 +657,11 @@ class MemoryNetworkSystem:
             external_bits, interposer_bits, accesses
         )
         extra: Dict[str, float] = {}
-        if self.port.generated_p2p:
-            extra["p2p.generated"] = float(self.port.generated_p2p)
-            extra["p2p.completed"] = float(self.port.completed_p2p)
-            extra["p2p.failed"] = float(self.port.failed_p2p)
         port = self.port
+        if port.generated_by[P2P]:
+            extra["p2p.generated"] = float(port.generated_by[P2P])
+            extra["p2p.completed"] = float(port.completed_by[P2P])
+            extra["p2p.failed"] = float(port.failed_by[P2P])
         if port._overload:
             # Overload accounting (open-loop arrivals and/or deadlines/
             # shedding).  Keyed only when the feature is active so

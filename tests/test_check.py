@@ -4,7 +4,8 @@ Positive direction: healthy and degraded runs pass every audit, and an
 audited run is bit-identical to an unaudited one (audits verify, they
 never perturb).  Negative direction: three injected defects — a stolen
 credit, a leaked packet, a stale timing-wheel entry — must each be
-caught by its named invariant, with reproduction context attached.
+caught by its named invariant, with reproduction context attached, and
+every port invariant names a corrupted ledger or backlog.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.check import (
     audits_enabled,
     set_audits,
 )
+from repro.net.packet import READ, WRITE, Transaction
 from repro.serialization import result_digest
 from repro.sim.engine import WHEEL_SHIFT, Engine
 from repro.system import MemoryNetworkSystem
@@ -227,3 +229,59 @@ class TestInjectedDefects:
 
     def _steal_one(self, system):
         self._credited_link(system)._credits -= 1
+
+
+# ---------------------------------------------------------------------------
+# Port invariants: each corrupted ledger or backlog caught by name
+# ---------------------------------------------------------------------------
+def _overflow_read_window(port):
+    port.outstanding_by[READ] = port.window + 1
+
+
+def _orphan_pending(port):
+    # in the backlog, but in none of the per-kind split lists
+    port.pending.append(Transaction(0x40, False, port.port_id, 0))
+
+
+def _phantom_write_slot(port):
+    port.outstanding_by[WRITE] += 1
+
+
+def _lose_completed_read(port):
+    port.completed_by[READ] -= 1
+
+
+def _double_settle_write(port):
+    port.completed_by[WRITE] = port.generated_by[WRITE] + 1
+
+
+def _overshoot_peak_backlog(port):
+    port.peak_backlog = port.config.overload.shed_high + 1
+
+
+class TestPortInvariants:
+    @pytest.mark.parametrize(
+        "invariant, corrupt",
+        [
+            pytest.param(invariant, corrupt, id=invariant)
+            for invariant, corrupt in (
+                ("port.window", _overflow_read_window),
+                ("port.backlog", _orphan_pending),
+                ("port.directory", _phantom_write_slot),
+                ("txn.conservation", _lose_completed_read),
+                ("overload.conservation", _double_settle_write),
+                ("overload.backlog", _overshoot_peak_backlog),
+            )
+        ],
+    )
+    def test_corrupted_port_state_caught(self, invariant, corrupt):
+        # Shedding arms the overload checks without open-loop arrivals,
+        # so the window bounds stay checkable too.
+        config = small_config().with_overload(shed_high=96, shed_low=48)
+        system, _ = run_system(config, requests=120, audit=True)
+        port = system.port
+        assert port.generated_by[READ] and port.generated_by[WRITE]
+        assert system.auditor.collect("final") == []
+        corrupt(port)
+        names = {v[0] for v in system.auditor.collect("final")}
+        assert invariant in names

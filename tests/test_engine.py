@@ -108,16 +108,6 @@ def test_max_events_raises_on_livelock():
         engine.run(max_events=100)
 
 
-def test_stop_when_predicate_halts_run():
-    engine = Engine()
-    fired = []
-    for t in range(10):
-        engine.schedule(t, lambda eng: fired.append(eng.now))
-    engine.run(stop_when=lambda: len(fired) >= 3)
-    assert len(fired) == 3
-    assert engine.pending == 7
-
-
 def test_drain_clears_queue():
     engine = Engine()
     engine.schedule(5, lambda eng: None)
@@ -152,25 +142,36 @@ def test_run_returns_processed_count():
     assert engine.run() == 4
 
 
-def test_stop_when_combined_with_until():
-    # The predicate must win even when a time bound is also active.
+def _fire_and_stop_at(fired, count):
+    """A callback that records ``now`` and stops the run on event ``count``."""
+
+    def callback(eng):
+        fired.append(eng.now)
+        if len(fired) == count:
+            eng.request_stop()
+
+    return callback
+
+
+def test_request_stop_combined_with_until():
+    # A stop must win even when a time bound is also active.
     engine = Engine()
     fired = []
     for t in range(10):
-        engine.schedule(t, lambda eng: fired.append(eng.now))
-    engine.run(until=100, stop_when=lambda: len(fired) >= 2)
+        engine.schedule(t, _fire_and_stop_at(fired, 2))
+    engine.run(until=100)
     assert fired == [0, 1]
     assert engine.pending == 8
     # the clock stays at the stopping event, not the until bound
     assert engine.now == 1
 
 
-def test_until_combined_with_stop_when_that_never_fires():
+def test_until_combined_with_request_stop_that_never_fires():
     engine = Engine()
     fired = []
-    engine.schedule(5, lambda eng: fired.append(5))
-    engine.schedule(50, lambda eng: fired.append(50))
-    engine.run(until=10, stop_when=lambda: False)
+    engine.schedule(5, _fire_and_stop_at(fired, 3))
+    engine.schedule(50, _fire_and_stop_at(fired, 3))
+    engine.run(until=10)
     assert fired == [5]
     assert engine.now == 10
     assert engine.pending == 1

@@ -115,3 +115,29 @@ class TestExperimentsCli:
         # process totals would repeat the first line's misses here
         assert (sims2, disk2, miss2) == (0, 0, 0)
         assert hits2 == hits1 + miss1
+
+
+class TestReproCli:
+    def test_choices_come_from_the_config_constants(self, capsys):
+        from repro.__main__ import main
+        from repro.config import VALID_ARBITERS, VALID_TOPOLOGIES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--arbiter", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(arbiter) in err for arbiter in VALID_ARBITERS)
+        for command in ("simulate", "show", "selfcheck"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--topology", "torus"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'torus'" in err
+            assert all(repr(topology) in err for topology in VALID_TOPOLOGIES)
+
+    def test_valid_arbiter_runs(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["simulate", "--arbiter", "age", "--requests", "20"]) == 0
+        assert "(age)" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import HostConfig, SystemConfig
 from repro.host.directory import Directory
+from repro.net.packet import READ, WRITE
 from repro.system import MemoryNetworkSystem
 from repro.units import GIB_BYTES
 from repro.workloads import Request, WorkloadSpec
@@ -94,7 +95,7 @@ class TestHostPort:
 
         def spy(engine):
             original(engine)
-            max_seen.append(system.port.outstanding_reads)
+            max_seen.append(system.port.outstanding_by[READ])
 
         system.port.try_inject = spy
         system.run()
@@ -111,7 +112,7 @@ class TestHostPort:
 
         def spy(engine):
             original(engine)
-            max_seen.append(system.port.outstanding_writes)
+            max_seen.append(system.port.outstanding_by[WRITE])
 
         system.port.try_inject = spy
         system.run()
