@@ -93,8 +93,3 @@ class Bank:
         self.array_busy_until = start + duration_ps
         self.buffer_busy_until = max(self.buffer_busy_until, self.array_busy_until)
         self._open_rows.clear()
-
-    # kept for compatibility with older call sites/tests
-    @property
-    def busy_until(self) -> int:
-        return max(self.array_busy_until, self.buffer_busy_until)

@@ -10,7 +10,7 @@ depends on).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.config import PacketConfig
 from repro.memory.bank import Bank
@@ -21,6 +21,21 @@ from repro.net.pool import PacketPool
 from repro.net.router import LOCAL, Router
 from repro.obs.attribution import segment_code
 from repro.sim.engine import Engine
+
+
+class _BankTable(dict):
+    """Bank index -> :class:`Bank`, built by ``build(index)`` on first
+    lookup, so ``banks[i]`` stays a single subscript on the hot path."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[int], Bank]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, index: int) -> Bank:
+        bank = self[index] = self._build(index)
+        return bank
 
 
 class QuadrantController:
@@ -42,9 +57,17 @@ class QuadrantController:
     ) -> None:
         self.name = name
         self.timing = timing
-        self.banks: List[Bank] = [
-            Bank(num_row_buffers=timing.tech.row_buffers) for _ in range(num_banks)
-        ]
+        # Banks are built on first access (see _make_bank): a run
+        # touches at most one bank per request, a quadrant has dozens.
+        if timing.tech.row_buffers < 1:
+            raise ValueError("need at least one row buffer")
+        self.num_banks = num_banks
+        self.banks: Dict[int, Bank] = _BankTable(self._make_bank)
+        self._groups = min(self.REFRESH_GROUPS, num_banks)
+        # Per refresh group: the common busy time of its never-touched
+        # banks, and the banks that have been built.
+        self._idle_busy = [0] * self._groups
+        self._touched: List[List[Bank]] = [[] for _ in range(self._groups)]
         self.queue_depth = queue_depth
         self.inject_queue = inject_queue
         self.router = router
@@ -287,19 +310,34 @@ class QuadrantController:
     # (exact, because idle banks are never touched in between).
     REFRESH_GROUPS = 8
 
+    def _make_bank(self, index: int) -> Bank:
+        """Build bank ``index`` on first access.  Every never-touched
+        bank of a group has received the same refresh calls and nothing
+        else, so it is idle with no open row and busy until the group's
+        ``_idle_busy``."""
+        if not 0 <= index < self.num_banks:
+            raise IndexError(f"{self.name}: bank {index} out of range")
+        bank = Bank(num_row_buffers=self.timing.tech.row_buffers)
+        group = index % self._groups
+        bank.array_busy_until = bank.buffer_busy_until = self._idle_busy[group]
+        self._touched[group].append(bank)
+        return bank
+
     def _refresh_tick(self, tick_ps: int) -> None:
-        """Apply the refresh tick due at ``tick_ps`` and advance the due
-        time.  ``bank.refresh`` starts at ``max(tick_ps, busy_until)``,
-        so replaying a tick after its due time gives the same bank state
-        as applying it on time."""
+        """Apply the refresh tick due at ``tick_ps`` to the next group
+        and advance the due time.  The group's built banks refresh one
+        by one; its idle banks share one busy time, advanced exactly as
+        ``Bank.refresh`` would advance each of them.  A refresh starts at
+        ``max(tick_ps, array_busy_until)``, so replaying a tick after its
+        due time gives the same bank state as applying it on time."""
         tech = self.timing.tech
-        groups = min(self.REFRESH_GROUPS, len(self.banks))
-        group = self.refreshes % groups
+        group = self.refreshes % self._groups
         duration = tech.refresh_duration_ps
-        for index in range(group, len(self.banks), groups):
-            self.banks[index].refresh(tick_ps, duration)
+        self._idle_busy[group] = max(tick_ps, self._idle_busy[group]) + duration
+        for bank in self._touched[group]:
+            bank.refresh(tick_ps, duration)
         self.refreshes += 1
-        self._refresh_due_ps = tick_ps + tech.refresh_interval_ps // groups
+        self._refresh_due_ps = tick_ps + tech.refresh_interval_ps // self._groups
 
     def _refresh(self, engine: Engine) -> None:
         self._refresh_armed = False

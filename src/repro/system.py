@@ -13,6 +13,7 @@ load.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -147,9 +148,13 @@ class MemoryNetworkSystem:
         )
 
     def _build_routers(self) -> None:
+        # Every router's arbiters read the same distance and tech tables;
+        # only subtree_weights (filled per router by
+        # _fill_subtree_weights) needs a fresh dict per router.
+        shared = self._arbiter_context()
         for node in sorted(self.topology.nodes):
             spec = self.topology.nodes[node]
-            context = self._arbiter_context()  # per-router arbiter state
+            context = dataclasses.replace(shared, subtree_weights={})
             factory = make_arbiter_factory(self.config.arbiter, context)
             router = self._router_cls(
                 node_id=node,

@@ -1,17 +1,26 @@
 """Tests for the quadrant memory controller."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arbitration import ArbiterContext, RoundRobinArbiter
 from repro.config import PacketConfig, dram_tech, nvm_tech
 from repro.host.address_map import Location
+from repro.memory.bank import Bank
 from repro.memory.controller import QuadrantController
 from repro.memory.timing import TimingModel
 from repro.net.buffers import InputQueue
 from repro.net.packet import Packet, PacketKind, Transaction
 from repro.net.router import LOCAL, LocalOutput, Router
+from repro.serialization import result_digest
 from repro.sim.engine import Engine
+from repro.system import MemoryNetworkSystem
 from repro.units import ns
+
+from conftest import fast_workload, small_config
 
 
 def make_request(bank=0, row=0, is_write=False, address=0):
@@ -187,3 +196,126 @@ class TestRefresh:
         h.controller.start_refresh(h.engine)
         h.engine.run(until=ns(100_000))
         assert h.controller.refreshes == 0
+
+
+def bank_state(bank):
+    return (
+        bank.array_busy_until,
+        bank.buffer_busy_until,
+        list(bank._open_rows),
+        bank.accesses,
+        bank.row_hits,
+    )
+
+
+def spy_eager_refresh(controller, engine):
+    """Eagerly built reference banks that receive every refresh call the
+    controller applies, bank by bank, as a fully built quadrant would.
+
+    Returns the reference banks and a list of ``(tick_ps, now_ps)`` per
+    applied tick (``tick_ps < now_ps`` marks a dormant replay)."""
+    reference = [Bank() for _ in range(controller.num_banks)]
+    groups = min(controller.REFRESH_GROUPS, controller.num_banks)
+    duration = controller.timing.tech.refresh_duration_ps
+    ticks = []
+    apply_tick = controller._refresh_tick
+
+    def spy(tick_ps):
+        group = controller.refreshes % groups
+        for index in range(group, controller.num_banks, groups):
+            reference[index].refresh(tick_ps, duration)
+        ticks.append((tick_ps, engine.now))
+        apply_tick(tick_ps)
+
+    controller._refresh_tick = spy
+    return reference, ticks
+
+
+class TestLazyBanks:
+    # 12 banks over 8 refresh groups: groups 0-3 hold two banks, 4-7 one.
+    NUM_BANKS = 12
+
+    def _drive(self, steps):
+        """Run ``(gap_ns, bank, burst)`` steps against a refreshing DRAM
+        controller; each step first-touches ``bank`` (checked against the
+        reference) and then queues ``burst`` row misses on it."""
+        h = Harness(num_banks=self.NUM_BANKS, queue_depth=64)
+        reference, ticks = spy_eager_refresh(h.controller, h.engine)
+        h.controller.start_refresh(h.engine)
+        h.engine.run(until=0)
+        row = 0
+        for gap_ns, index, burst in steps:
+            h.engine.run(until=h.engine.now + ns(gap_ns))
+            if index not in h.controller.banks:
+                assert bank_state(h.controller.banks[index]) == bank_state(
+                    reference[index]
+                )
+            for _ in range(burst):
+                row += 1
+                h.send(make_request(bank=index, row=row))
+        h.run()
+        for index in range(self.NUM_BANKS):
+            if index not in h.controller.banks:
+                assert bank_state(h.controller.banks[index]) == bank_state(
+                    reference[index]
+                )
+        return h, ticks
+
+    def test_first_touch_matches_eager_banks_after_replay_and_on_time_ticks(self):
+        interval_ns = dram_tech().refresh_interval_ps // 1000
+        # Dormant for over a full refresh interval, then a burst long
+        # enough (~30 x tRAS) to keep the queue busy across on-time
+        # ticks, with first touches of every group in between.
+        steps = [(interval_ns + 300, 0, 30), (100, 8, 0), (200, 1, 0)]
+        steps += [(interval_ns // 3, index, 1) for index in range(2, 12)]
+        h, ticks = self._drive(steps)
+        assert len(h.controller.banks) == self.NUM_BANKS
+        on_time = [t for t, now in ticks if t == now]
+        replayed = [t for t, now in ticks if t < now]
+        assert len(on_time) > 1 and len(replayed) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4000),
+                st.integers(min_value=0, max_value=NUM_BANKS - 1),
+                st.integers(min_value=0, max_value=40),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_first_touch_matches_eager_banks(self, steps):
+        self._drive(steps)
+
+    def test_fresh_system_builds_no_banks_and_matches_eager_build(self):
+        lazy = MemoryNetworkSystem(small_config(), fast_workload(), requests=300)
+        eager = MemoryNetworkSystem(small_config(), fast_workload(), requests=300)
+        controllers = [
+            (a, b)
+            for cube_a, cube_b in zip(lazy.cubes.values(), eager.cubes.values())
+            for a, b in zip(cube_a.controllers, cube_b.controllers)
+        ]
+        assert controllers
+        for a, b in controllers:
+            assert len(a.banks) == 0
+            for index in range(b.num_banks):
+                b.banks[index]  # build every bank up front, at time zero
+        assert result_digest(lazy.run()) == result_digest(eager.run())
+        for a, b in controllers:
+            assert len(a.banks) < a.num_banks  # 300 requests touch few banks
+            for index in range(a.num_banks):
+                assert bank_state(a.banks[index]) == bank_state(b.banks[index])
+
+    @pytest.mark.parametrize("index", [-1, 4, 100])
+    def test_out_of_range_bank_raises(self, index):
+        h = Harness(num_banks=4)
+        with pytest.raises(IndexError):
+            h.controller.banks[index]
+        assert len(h.controller.banks) == 0
+
+    def test_invalid_row_buffers_fail_at_construction(self):
+        tech = dataclasses.replace(dram_tech(), row_buffers=0)
+        with pytest.raises(ValueError):
+            Harness(tech=tech)

@@ -61,11 +61,11 @@ class TestConstruction:
     def test_bank_scale_halves_banks(self):
         _, _, full, _ = build_cube()
         _, _, half, _ = build_cube(bank_scale=0.5)
-        assert len(half.controllers[0].banks) == len(full.controllers[0].banks) // 2
+        assert half.controllers[0].num_banks == full.controllers[0].num_banks // 2
 
     def test_bank_scale_floor_of_one(self):
         _, _, cube, _ = build_cube(bank_scale=0.0001)
-        assert len(cube.controllers[0].banks) == 1
+        assert cube.controllers[0].num_banks == 1
 
 
 class TestDelivery:

@@ -193,6 +193,6 @@ class TestCapacityScaling:
         )
         assert len(scaled.cubes) == len(base.cubes)
         assert scaled.address_map.total_bytes == base.address_map.total_bytes // 2
-        base_banks = len(next(iter(base.cubes.values())).controllers[0].banks)
-        scaled_banks = len(next(iter(scaled.cubes.values())).controllers[0].banks)
+        base_banks = next(iter(base.cubes.values())).controllers[0].num_banks
+        scaled_banks = next(iter(scaled.cubes.values())).controllers[0].num_banks
         assert scaled_banks == base_banks // 2

@@ -11,7 +11,10 @@ profiled frame is bucketed by the ``repro`` module that owns it
 (compiled-extension methods land in ``sim._native [C]``), and the
 buckets are ranked by the time spent in their own code.  That table
 answers "which component do I attack next" directly, without mentally
-summing a dozen pstats rows per file.
+summing a dozen pstats rows per file.  The profile covers building the
+system as well as running it, and a ``build X s, run Y s`` line above
+the table splits the profiled wall time between the two: a short run
+on a large topology can spend most of its time in the constructor.
 
 Usage::
 
@@ -32,6 +35,7 @@ import cProfile
 import pstats
 import re
 import sys
+import time
 
 from repro.config import SystemConfig, parse_label
 from repro.sim.engine import SCHEDULERS, Engine
@@ -96,16 +100,18 @@ def profile_simulation(
         config = parse_label(label, config)
     if obs:
         config = config.with_obs(attribution=True)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    start = time.perf_counter()
     system = MemoryNetworkSystem(
         config,
         get_workload(workload),
         requests=requests,
         engine=Engine(engine) if engine else None,
     )
-
-    profiler = cProfile.Profile()
-    profiler.enable()
+    built = time.perf_counter()
     result = system.run()
+    done = time.perf_counter()
     profiler.disable()
 
     print(
@@ -117,6 +123,7 @@ def profile_simulation(
     if stats_path:
         stats.dump_stats(stats_path)
         print(f"raw stats written to {stats_path}")
+    print(f"\nbuild {built - start:.3f} s, run {done - built:.3f} s")
     print_component_table(stats)
     print()
     stats.sort_stats(sort).print_stats(limit)
