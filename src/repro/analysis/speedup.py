@@ -1,4 +1,9 @@
-"""Speedup grids: workloads x configurations, normalized to a baseline."""
+"""Speedup grids: workloads x configurations, normalized to a baseline.
+
+A grid is one runner batch: :meth:`SpeedupGrid.run` returns every
+point's result, :meth:`SpeedupGrid.speedups` builds on it, and
+``render`` tabulates the speedups without simulating again.
+"""
 
 from __future__ import annotations
 
@@ -17,8 +22,6 @@ class SpeedupGrid:
     All simulations go through the ambient runner, whose
     content-addressed cache means a baseline shared by several figures
     (or several grids) is only simulated once per cache lifetime.
-    :meth:`prefetch` dispatches a whole label set as one batch so the
-    runner can execute the grid's points in parallel.
     """
 
     def __init__(
@@ -36,44 +39,41 @@ class SpeedupGrid:
         )
 
     # ------------------------------------------------------------------
-    def _job(self, label: str, workload: WorkloadSpec) -> SimJob:
-        return SimJob(
-            config=self.config_fn(label),
-            workload=workload,
-            requests=self.requests,
-        )
+    def run(self, labels: Sequence[str]) -> Dict[str, Dict[str, SimResult]]:
+        """Simulate every (label, workload) point as one batch.
 
-    def result(self, label: str, workload: WorkloadSpec) -> SimResult:
-        return get_runner().run_one(self._job(label, workload))
-
-    def prefetch(self, labels: Sequence[str]) -> None:
-        """Simulate every (label, workload) point as one parallel batch.
-
-        Subsequent :meth:`result` calls are then cache hits.  Callers
-        that loop over :meth:`result` directly should prefetch first;
-        :meth:`speedups` does it automatically.
+        Returns ``{workload name: {label: result}}`` in workload and
+        first-seen label order.
         """
-        get_runner().run(
+        labels = list(dict.fromkeys(labels))
+        points = [
+            (workload, label) for workload in self.workloads for label in labels
+        ]
+        results = get_runner().run(
             [
-                self._job(label, workload)
-                for workload in self.workloads
-                for label in labels
+                SimJob(self.config_fn(label), workload, self.requests)
+                for workload, label in points
             ]
         )
+        table: Dict[str, Dict[str, SimResult]] = {
+            workload.name: {} for workload in self.workloads
+        }
+        for (workload, label), result in zip(points, results):
+            table[workload.name][label] = result
+        return table
 
     def speedups(
         self, labels: Sequence[str], baseline_label: str
     ) -> Dict[str, Dict[str, float]]:
         """Per-workload percent speedup of each label over the baseline."""
-        self.prefetch(list(labels) + [baseline_label])
-        grid: Dict[str, Dict[str, float]] = {}
-        for workload in self.workloads:
-            base = self.result(baseline_label, workload)
-            grid[workload.name] = {
-                label: self.result(label, workload).speedup_over(base) * 100.0
+        table = self.run(list(labels) + [baseline_label])
+        return {
+            name: {
+                label: row[label].speedup_over(row[baseline_label]) * 100.0
                 for label in labels
             }
-        return grid
+            for name, row in table.items()
+        }
 
     def averages(
         self, grid: Dict[str, Dict[str, float]], labels: Sequence[str]
@@ -86,11 +86,11 @@ class SpeedupGrid:
 
     def render(
         self,
+        grid: Dict[str, Dict[str, float]],
         labels: Sequence[str],
-        baseline_label: str,
         title: str = "",
     ) -> str:
-        grid = self.speedups(labels, baseline_label)
+        """Table of a :meth:`speedups` grid with an average row."""
         rows: List[List[object]] = []
         for name, row in grid.items():
             rows.append([name] + [f"{row[label]:+.1f}%" for label in labels])

@@ -49,7 +49,10 @@ p2p.leak              no P2P_XFER packet is ever queued on a route that
                       terminates at the host port (cube-to-cube data
                       never crosses a host link)
 obs.attribution       segment sums tile end-to-end latency exactly
-                      (zero unattributed residual), per phase
+                      (zero unattributed residual): per phase, they
+                      equal the to/in/from-memory totals of the
+                      transactions that carried segments, less the
+                      span time a label mask suppressed
 energy.totals         the reported energy equals a recomputation from
                       per-link bit counts and per-cube access counts
 ras.consistency       dead edges stay dead: both directions marked, no
@@ -611,23 +614,31 @@ class InvariantAuditor:
                 f"over {residual.count} transactions (max "
                 f"{residual.max})",
             ))
-        phase_totals = {phase: 0.0 for phase in PHASES}
+        phase_totals = {phase: 0 for phase in PHASES}
         for label, hist in collector.segments.items():
             phase = phase_of(label)
             if phase is not None:
                 phase_totals[phase] += hist.total
-        breakdown = collector.all
-        for phase, component in (
-            ("req", breakdown.to_memory_hist),
-            ("mem", breakdown.in_memory_hist),
-            ("resp", breakdown.from_memory_hist),
-        ):
-            if abs(phase_totals[phase] - component.total) > 0.5:
+        # Sampling leaves transactions without segments, so compare with
+        # the components of those that carried them.  A masked-out span
+        # is missing from some phase's sum; no phase may exceed its
+        # component, and the shortfalls must add up to the mask's count.
+        expected = collector.segmented_ps
+        for phase in PHASES:
+            if phase_totals[phase] > expected[phase]:
                 out.append((
                     "obs.attribution", f"phase:{phase}",
-                    f"segment sum {phase_totals[phase]} ps != component "
-                    f"total {component.total} ps",
+                    f"segment sum {phase_totals[phase]} ps > component "
+                    f"total {expected[phase]} ps",
                 ))
+        shortfall = sum(expected.values()) - sum(phase_totals.values())
+        if shortfall != collector.suppressed_ps:
+            out.append((
+                "obs.attribution", "phases",
+                f"segment sums fall {shortfall} ps short of the "
+                f"components, but the mask suppressed "
+                f"{collector.suppressed_ps} ps",
+            ))
 
     def _check_energy(self, out: List[Violation], result) -> None:
         from repro.energy import EnergyModel

@@ -40,7 +40,7 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(
+    table = grid.run(
         [
             f"{topo_label}|{arbiter}"
             for topo_label in TOPOLOGY_LABELS
@@ -53,11 +53,12 @@ def run(
         data[topo_label] = {}
         row = [topo_label]
         for arbiter in VALID_ARBITERS:
-            deltas = []
-            for workload in grid.workloads:
-                rr = grid.result(f"{topo_label}|round_robin", workload)
-                alt = grid.result(f"{topo_label}|{arbiter}", workload)
-                deltas.append(alt.speedup_over(rr) * 100.0)
+            deltas = [
+                results[f"{topo_label}|{arbiter}"].speedup_over(
+                    results[f"{topo_label}|round_robin"]
+                ) * 100.0
+                for results in table.values()
+            ]
             mean = sum(deltas) / len(deltas)
             data[topo_label][arbiter] = mean
             row.append(f"{mean:+.2f}%")

@@ -43,18 +43,17 @@ def run(
     grid = SpeedupGrid(
         [workload], requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(
+    results = grid.run(
         [f"{topo}|{depth}" for topo in ("100%-C", "100%-T") for depth in DEPTHS]
-        + ["100%-C|8", "100%-T|8"]
-    )
+    )[workload.name]
     data: Dict[str, Dict[int, float]] = {}
     rows = []
     for topo in ("100%-C", "100%-T"):
         data[topo] = {}
-        reference = grid.result(f"{topo}|8", workload)
+        reference = results[f"{topo}|8"]
         row = [topo]
         for depth in DEPTHS:
-            result = grid.result(f"{topo}|{depth}", workload)
+            result = results[f"{topo}|{depth}"]
             delta = result.speedup_over(reference) * 100.0
             data[topo][depth] = delta
             row.append(f"{delta:+.1f}%")

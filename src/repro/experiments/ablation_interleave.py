@@ -42,26 +42,26 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(
+    table = grid.run(
         ["100%-T|256"] + [f"100%-T|{grain}" for grain in GRANULARITIES]
     )
     rows = []
     data: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for workload in grid.workloads:
-        data[workload.name] = {}
-        base_result = grid.result("100%-T|256", workload)
+    for name, results in table.items():
+        data[name] = {}
+        base_result = results["100%-T|256"]
         for grain in GRANULARITIES:
-            result = grid.result(f"100%-T|{grain}", workload)
-            data[workload.name][grain] = {
+            result = results[f"100%-T|{grain}"]
+            data[name][grain] = {
                 "speedup_vs_256": result.speedup_over(base_result) * 100.0,
                 "row_hit_rate": result.row_hit_rate * 100.0,
                 "latency_ns": result.mean_latency_ns,
             }
         rows.append(
-            [workload.name]
+            [name]
             + [
-                f"{data[workload.name][g]['speedup_vs_256']:+.1f}% "
-                f"(hit {data[workload.name][g]['row_hit_rate']:.0f}%)"
+                f"{data[name][g]['speedup_vs_256']:+.1f}% "
+                f"(hit {data[name][g]['row_hit_rate']:.0f}%)"
                 for g in GRANULARITIES
             ]
         )

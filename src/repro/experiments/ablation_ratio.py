@@ -49,17 +49,17 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(["baseline"] + [str(fraction) for fraction in fractions])
+    table = grid.run(["baseline"] + [str(fraction) for fraction in fractions])
     rows = []
     data: Dict[str, Dict[float, float]] = {}
-    for workload in grid.workloads:
-        base_result = grid.result("baseline", workload)
-        data[workload.name] = {}
-        row = [workload.name]
+    for name, results in table.items():
+        base_result = results["baseline"]
+        data[name] = {}
+        row = [name]
         for fraction in fractions:
-            result = grid.result(str(fraction), workload)
+            result = results[str(fraction)]
             speedup = result.speedup_over(base_result) * 100.0
-            data[workload.name][fraction] = speedup
+            data[name][fraction] = speedup
             row.append(f"{speedup:+.1f}%")
         rows.append(row)
     averages = [

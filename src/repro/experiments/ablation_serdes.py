@@ -43,7 +43,7 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(
+    table = grid.run(
         [f"{topo}|{serdes}" for topo in TOPOLOGIES for serdes in SERDES_NS]
     )
     rows = []
@@ -54,8 +54,8 @@ def run(
         row = [topo]
         for serdes in SERDES_NS:
             totals = [
-                grid.result(f"{topo}|{serdes}", w).runtime_ps
-                for w in grid.workloads
+                results[f"{topo}|{serdes}"].runtime_ps
+                for results in table.values()
             ]
             mean_runtime = sum(totals) / len(totals)
             if baseline is None:

@@ -33,8 +33,8 @@ def run(
     speedups = grid.speedups(LABELS, BASELINE)
     averages = grid.averages(speedups, LABELS)
     text = grid.render(
+        speedups,
         LABELS,
-        BASELINE,
         title="Fig 4: speedup of DRAM memory networks over a chain topology",
     )
     return ExperimentOutput(

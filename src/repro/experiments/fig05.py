@@ -55,19 +55,18 @@ def run(
 ) -> ExperimentOutput:
     base = base_system(base_config).with_obs(attribution=True)
     grid = SpeedupGrid(suite(workloads), requests=requests, base_config=base)
-    grid.prefetch(LABELS)
     rows: List[List[object]] = []
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     per_label: Dict[str, List[SimResult]] = {label: [] for label in LABELS}
-    for workload in grid.workloads:
-        results = [grid.result(label, workload) for label in LABELS]
+    for name, row in grid.run(LABELS).items():
+        results = [row[label] for label in LABELS]
         chain_total = results[0].collector.all.total_ns or 1.0
-        data[workload.name] = {}
+        data[name] = {}
         for result in results:
             per_label[result.config_label].append(result)
             split = three_way_ns(result.collector.segments, result.transactions)
             total_ns = sum(split.values())
-            data[workload.name][result.config_label] = dict(
+            data[name][result.config_label] = dict(
                 split,
                 relative_to_chain=total_ns / chain_total,
                 p95_ns=result.p95_latency_ns,
@@ -75,7 +74,7 @@ def run(
             )
             rows.append(
                 [
-                    f"{workload.name}/{result.config_label}",
+                    f"{name}/{result.config_label}",
                     f"{split['to_memory']:.1f}",
                     f"{split['in_memory']:.1f}",
                     f"{split['from_memory']:.1f}",

@@ -35,8 +35,8 @@ def run(
     speedups = grid.speedups(LABELS, BASELINE)
     averages = grid.averages(speedups, LABELS)
     text = grid.render(
+        speedups,
         LABELS,
-        BASELINE,
         title="Fig 7: tree topology with DRAM:NVM ratios, vs 100% chain",
     )
     return ExperimentOutput(

@@ -44,19 +44,19 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(
+    table = grid.run(
         BASELINE_CONFIGS + [label + "+DA" for label in BASELINE_CONFIGS]
     )
     data: Dict[str, Dict[str, float]] = {}
     rows = []
-    for workload in grid.workloads:
-        row = [workload.name]
-        data[workload.name] = {}
+    for name, results in table.items():
+        row = [name]
+        data[name] = {}
         for label in BASELINE_CONFIGS:
-            rr = grid.result(label, workload)
-            da = grid.result(label + "+DA", workload)
+            rr = results[label]
+            da = results[label + "+DA"]
             delta = da.speedup_over(rr) * 100.0
-            data[workload.name][label] = delta
+            data[name][label] = delta
             row.append(f"{delta:+.1f}%")
         rows.append(row)
     averages = {

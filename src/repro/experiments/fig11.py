@@ -36,8 +36,8 @@ def run(
     speedups = grid.speedups(PROPOSED_CONFIGS, NORMALIZATION_BASELINE)
     averages = grid.averages(speedups, PROPOSED_CONFIGS)
     text = grid.render(
+        speedups,
         PROPOSED_CONFIGS,
-        NORMALIZATION_BASELINE,
         title=(
             "Fig 11: Tree vs SkipList vs MetaCube (round-robin arbitration), "
             "vs 100% chain"

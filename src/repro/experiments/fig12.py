@@ -67,8 +67,8 @@ def run(
     speedups = grid.speedups(PROPOSED_CONFIGS, NORMALIZATION_BASELINE)
     averages = grid.averages(speedups, PROPOSED_CONFIGS)
     text = grid.render(
+        speedups,
         PROPOSED_CONFIGS,
-        NORMALIZATION_BASELINE,
         title=(
             "Fig 12: all techniques combined (enhanced distance arbitration), "
             "vs 100% chain"

@@ -52,14 +52,13 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base, config_fn=config_fn
     )
-    grid.prefetch(LABELS + [label + "@1TB" for label in LABELS])
+    table = grid.run(LABELS + [label + "@1TB" for label in LABELS])
     averages: Dict[str, float] = {}
     for label in LABELS:
-        deltas = []
-        for workload in grid.workloads:
-            two_tb = grid.result(label, workload)
-            one_tb = grid.result(label + "@1TB", workload)
-            deltas.append(one_tb.speedup_over(two_tb) * 100.0)
+        deltas = [
+            row[label + "@1TB"].speedup_over(row[label]) * 100.0
+            for row in table.values()
+        ]
         averages[label] = sum(deltas) / len(deltas)
     rows = [[label, f"{averages[label]:+.2f}%"] for label in LABELS]
     text = render_table(

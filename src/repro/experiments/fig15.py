@@ -49,13 +49,12 @@ def run(
     grid = SpeedupGrid(
         suite(workloads), requests=requests, base_config=base_system(base_config)
     )
-    grid.prefetch(LABELS)
     totals: Dict[str, Dict[str, float]] = {
         label: {"network": 0.0, "read": 0.0, "write": 0.0} for label in LABELS
     }
-    for workload in grid.workloads:
+    for row in grid.run(LABELS).values():
         for label in LABELS:
-            energy = grid.result(label, workload).energy
+            energy = row[label].energy
             totals[label]["network"] += energy.network_pj + energy.interposer_pj
             totals[label]["read"] += energy.memory_read_pj
             totals[label]["write"] += energy.memory_write_pj

@@ -105,6 +105,11 @@ class TransactionCollector:
     percentiles.  Per-transaction time no segment claimed accumulates
     under :data:`repro.obs.attribution.UNATTRIBUTED` — a nonzero mean
     there indicates an instrumentation gap.
+
+    For the auditor, ``segmented_ps`` keeps the req/mem/resp totals of
+    the transactions that carried segments (sampling skips some) and
+    ``suppressed_ps`` the span time a label mask dropped.  Neither is
+    serialized or digested.
     """
 
     def __init__(self) -> None:
@@ -122,6 +127,8 @@ class TransactionCollector:
         self.nvm_accesses = 0
         self.last_complete_ps = 0
         self.segments: Dict[str, Histogram] = {}
+        self.segmented_ps = {"req": 0, "mem": 0, "resp": 0}
+        self.suppressed_ps = 0
 
     def add(self, txn: Transaction) -> None:
         if txn.is_p2p:
@@ -159,7 +166,13 @@ class TransactionCollector:
         # Label-masked lists (repro.obs.attribution.MaskedSegments)
         # count the spans they dropped, so the residual below stays a
         # pure instrumentation-gap signal under masking too.
-        covered += getattr(txn.segments, "suppressed_ps", 0)
+        suppressed = getattr(txn.segments, "suppressed_ps", 0)
+        covered += suppressed
+        self.suppressed_ps += suppressed
+        phase_ps = self.segmented_ps
+        phase_ps["req"] += txn.to_memory_ps
+        phase_ps["mem"] += txn.in_memory_ps
+        phase_ps["resp"] += txn.from_memory_ps
         residual = txn.total_ps - covered
         hist = segments.get(UNATTRIBUTED)
         if hist is None:

@@ -1,19 +1,25 @@
 """Batch execution of simulation jobs with optional process parallelism.
 
-:class:`ParallelRunner` takes a batch of :class:`SimJob`\\ s and
+:class:`ParallelRunner` has two entry points: ``run`` returns results in
+input order and ``run_fold`` streams them into a fold (fleet-scale
+batches, :mod:`repro.fleet`).  Both go through one dispatch that, once
+per batch:
 
-1. deduplicates identical jobs (same content digest),
+1. digests each job once and deduplicates identical jobs,
 2. satisfies what it can from its :class:`ResultCache`,
-3. executes the remainder — serially when ``jobs <= 1`` (deterministic,
-   spawn-safe, no pool overhead) or over a
-   :class:`concurrent.futures.ProcessPoolExecutor` otherwise,
+3. executes the remainder through :func:`execute_chunk` — serially when
+   ``jobs <= 1`` (deterministic, spawn-safe, no pool overhead) or over a
+   :class:`concurrent.futures.ProcessPoolExecutor` otherwise — and
+   settles both paths through the same completion code,
+4. stamps failures with the batch's checkpoint count and applies the
+   ``on_error`` contract.
 
-and returns results in input order.  Per-job seeds derive from the
-config's root seed (see :func:`repro.sim.derive_seed`), so serial and
-parallel execution produce bit-identical results; the determinism tests
-assert this via :func:`repro.serialization.result_digest`.
+Per-job seeds derive from the config's root seed (see
+:func:`repro.sim.derive_seed`), so serial and parallel execution produce
+bit-identical results; the determinism tests assert this via
+:func:`repro.serialization.result_digest`.
 
-Robustness (the RAS PR's runner hardening):
+Robustness:
 
 * every completed job is written to the cache *immediately*, so a sweep
   killed half-way resumes from the cached partials — only uncached jobs
@@ -23,24 +29,17 @@ Robustness (the RAS PR's runner hardening):
 * ``job_timeout_s`` arms a watchdog: a job that exceeds it has its pool
   torn down (hung workers are terminated), innocent in-flight jobs are
   requeued, and the overdue job becomes a structured failure;
-* ``run(batch, on_error="collect")`` converts failures into
-  :class:`JobFailure` rows aligned with the input order rather than
-  losing the rest of the batch; the default ``on_error="raise"`` still
-  raises, as a :class:`repro.errors.RunnerError` carrying the failing
-  job's digest and config summary.
-
-``run_fold`` is the streaming sibling of ``run`` for fleet-scale
-batches (:mod:`repro.fleet`): results are handed to a commutative fold
-callback the moment they complete — cache hits included — and then
-evicted from the cache's memory layer (when a disk layer holds them),
-so a thousand-shard batch never materializes a thousand results in one
-process.
+* ``on_error="collect"`` converts failures into :class:`JobFailure` rows
+  aligned with the input order rather than losing the rest of the
+  batch; the default ``on_error="raise"`` still raises, as a
+  :class:`repro.errors.RunnerError` carrying the failing job's digest
+  and config summary.
 
 A module-level *ambient* runner lets high-level entry points
 (:func:`repro.system.simulate`, :class:`repro.sweep.Sweep`,
 :class:`repro.analysis.speedup.SpeedupGrid`) share one cache and one
-worker-count policy without threading a runner argument everywhere.
-The experiments CLI configures it from ``--jobs`` / ``--cache-dir`` /
+worker count without threading a runner argument everywhere.  The
+experiments CLI configures it from ``--jobs`` / ``--cache-dir`` /
 ``--no-cache``; ``REPRO_JOBS`` is the environment override.
 """
 
@@ -54,7 +53,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RunnerError
 from repro.results import SimResult
@@ -172,6 +171,11 @@ class JobFailure:
         )
 
 
+def _spawn_pool(workers: int) -> ProcessPoolExecutor:
+    """The one place a worker pool is created (first start and respawns)."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Abandon a pool, reclaiming hung workers.
 
@@ -185,6 +189,14 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             process.terminate()
     except Exception:  # pragma: no cover - best-effort cleanup
         pass
+
+
+#: Per-batch outcome table: digest -> result, failure, the folded
+#: placeholder, or ``None`` while the job is still pending.
+Results = Dict[str, object]
+
+#: A pending job travels with the digest computed for it at dispatch.
+Entry = Tuple[str, SimJob]
 
 
 class ParallelRunner:
@@ -206,9 +218,6 @@ class ParallelRunner:
         self.simulations_run = 0
 
     # ------------------------------------------------------------------
-    def run_one(self, job: SimJob) -> SimResult:
-        return self.run([job])[0]
-
     def run(
         self,
         batch: Sequence[SimJob],
@@ -224,40 +233,7 @@ class ParallelRunner:
         first failure in input order is raised as a
         :class:`~repro.errors.RunnerError`.
         """
-        if on_error not in ("raise", "collect"):
-            raise ValueError(f"on_error must be 'raise' or 'collect', not {on_error!r}")
-        digests = [job.digest() for job in batch]
-        results: Dict[str, Union[SimResult, JobFailure, None]] = {}
-        pending: List[SimJob] = []
-        for job, digest in zip(batch, digests):
-            if digest in results:
-                continue  # duplicate within the batch
-            cached = self.cache.get(digest)
-            if cached is not None:
-                results[digest] = cached
-            else:
-                results[digest] = None  # reserve slot, keep first occurrence
-                pending.append(job)
-        if pending:
-            self._execute(pending, results)
-            self.simulations_run += sum(
-                1 for job in pending if isinstance(results[job.digest()], SimResult)
-            )
-        # Stamp every failure with the batch's checkpoint count so the
-        # error (or collected row) says how much a rerun will skip.
-        checkpointed = sum(
-            1 for value in results.values() if isinstance(value, SimResult)
-        )
-        for value in results.values():
-            if isinstance(value, JobFailure):
-                value.checkpointed = checkpointed
-        out: List[Union[SimResult, JobFailure]] = []
-        for digest in digests:
-            value = results[digest]
-            if isinstance(value, JobFailure) and on_error == "raise":
-                raise value.to_error()
-            out.append(value)
-        return out
+        return self._dispatch(batch, on_error)
 
     def run_fold(
         self,
@@ -280,111 +256,123 @@ class ParallelRunner:
         retained — evicting them would silently forfeit warm replay.
 
         Caching, dedup, checkpointing, the watchdog, and the
-        ``on_error`` contract all match :meth:`run`; the return value is
+        ``on_error`` contract are :meth:`run`'s; the return value is
         aligned with the input, ``None`` for folded jobs and
         :class:`JobFailure` rows under ``on_error="collect"``.
+        """
+        return self._dispatch(batch, on_error, fold)
+
+    # ------------------------------------------------------------------
+    def _dispatch(
+        self,
+        batch: Sequence[SimJob],
+        on_error: str,
+        fold=None,
+    ) -> list:
+        """Both entry points' one path: digest each job once, dedupe,
+        serve cache hits, execute the rest, stamp checkpoints, and apply
+        the ``on_error`` contract.  With a ``fold``, successes stream
+        into it and the returned row of each is ``None``.
         """
         if on_error not in ("raise", "collect"):
             raise ValueError(f"on_error must be 'raise' or 'collect', not {on_error!r}")
         digests = [job.digest() for job in batch]
-        positions: Dict[str, List[int]] = {}
-        for index, digest in enumerate(digests):
-            positions.setdefault(digest, []).append(index)
+        sink = None
+        if fold is not None:
+            positions: Dict[str, List[int]] = {}
+            for index, digest in enumerate(digests):
+                positions.setdefault(digest, []).append(index)
 
-        def deliver(digest: str, result: SimResult) -> None:
-            for index in positions[digest]:
-                fold(index, batch[index], result)
-            if self.cache.persistent:
-                self.cache.drop_memory(digest)
+            def sink(digest: str, result: SimResult) -> None:
+                for index in positions[digest]:
+                    fold(index, batch[index], result)
+                if self.cache.persistent:
+                    self.cache.drop_memory(digest)
 
-        results: Dict[str, Union[SimResult, JobFailure, None]] = {}
-        pending: List[SimJob] = []
+        results: Results = {}
+        pending: List[Entry] = []
         for job, digest in zip(batch, digests):
             if digest in results:
                 continue  # duplicate within the batch
             cached = self.cache.get(digest)
             if cached is not None:
-                results[digest] = _FOLDED  # type: ignore[assignment]
-                deliver(digest, cached)
+                self._deliver(results, digest, cached, sink)
             else:
                 results[digest] = None  # reserve slot, keep first occurrence
-                pending.append(job)
-        if pending:
-            self._execute(pending, results, sink=deliver)
-            self.simulations_run += sum(
-                1 for job in pending if results[job.digest()] is _FOLDED
-            )
-        checkpointed = sum(1 for value in results.values() if value is _FOLDED)
-        for value in results.values():
-            if isinstance(value, JobFailure):
-                value.checkpointed = checkpointed
-        out: List[Optional[JobFailure]] = []
+                pending.append((digest, job))
+        self._execute(pending, results, sink)
+        # Stamp every failure with the batch's checkpoint count so the
+        # error (or collected row) says how much a rerun will skip.
+        failures = [v for v in results.values() if isinstance(v, JobFailure)]
+        for failure in failures:
+            failure.checkpointed = len(results) - len(failures)
+        out: list = []
         for digest in digests:
             value = results[digest]
             if isinstance(value, JobFailure):
                 if on_error == "raise":
                     raise value.to_error()
-                out.append(value)
-            else:
-                out.append(None)
+            elif value is _FOLDED:
+                value = None
+            out.append(value)
         return out
 
-    # ------------------------------------------------------------------
-    def _complete(
-        self,
-        results: Dict[str, Union[SimResult, JobFailure, None]],
-        job: SimJob,
-        result: SimResult,
-        sink=None,
-    ) -> None:
-        """Record a success and checkpoint it to the cache immediately.
-
-        With a ``sink`` (streaming fold), the result is handed off and
-        only a placeholder is retained, so the batch's results never
-        accumulate in this process.
-        """
-        digest = job.digest()
-        self.cache.put(digest, result)
+    @staticmethod
+    def _deliver(results: Results, digest: str, result: SimResult, sink) -> None:
+        """Settle a success.  With a ``sink`` (streaming fold) the
+        result is handed off and only a placeholder is retained, so the
+        batch's results never accumulate in this process."""
         if sink is None:
             results[digest] = result
         else:
-            results[digest] = _FOLDED  # type: ignore[assignment]
+            results[digest] = _FOLDED
             sink(digest, result)
 
     @staticmethod
     def _fail(
-        results: Dict[str, Union[SimResult, JobFailure, None]],
-        job: SimJob,
+        results: Results,
+        entry: Entry,
         error: str,
         kind: str,
         attempts: int,
     ) -> None:
-        results[job.digest()] = JobFailure(
-            digest=job.digest(),
+        digest, job = entry
+        results[digest] = JobFailure(
+            digest=digest,
             label=job.label(),
             error=error,
             kind=kind,
             attempts=attempts,
         )
 
-    def _execute(
+    def _complete(
         self,
-        pending: List[SimJob],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
-        sink=None,
+        results: Results,
+        chunk: List[Entry],
+        statuses: List[tuple],
+        attempts: Dict[str, int],
+        sink,
     ) -> None:
+        """Record :func:`execute_chunk`'s per-job statuses, checkpointing
+        each success to the cache immediately."""
+        for entry, (status, payload) in zip(chunk, statuses):
+            digest = entry[0]
+            if status == "ok":
+                self.cache.put(digest, payload)
+                self.simulations_run += 1
+                self._deliver(results, digest, payload, sink)
+            else:
+                self._fail(results, entry, payload, "exception", attempts[digest])
+
+    def _execute(self, pending: List[Entry], results: Results, sink) -> None:
+        attempts: Dict[str, int] = {digest: 0 for digest, _ in pending}
         workers = min(self.jobs, len(pending))
-        if workers <= 1:
-            for job in pending:
-                try:
-                    result = execute_job(job)
-                except Exception as exc:  # noqa: BLE001 - reported per job
-                    self._fail(results, job, f"{type(exc).__name__}: {exc}",
-                               "exception", 1)
-                else:
-                    self._complete(results, job, result, sink)
+        if workers > 1:
+            self._execute_parallel(pending, results, attempts, workers, sink)
             return
-        self._execute_parallel(pending, results, workers, sink)
+        for entry in pending:
+            attempts[entry[0]] += 1
+            self._complete(results, [entry], execute_chunk([entry[1]]), attempts, sink)
 
     def _chunk_size(
         self, pending_count: int, workers: int, streaming: bool = False
@@ -408,48 +396,47 @@ class ParallelRunner:
 
     def _requeue_broken(
         self,
-        chunk: List[SimJob],
+        chunk: List[Entry],
         queue: deque,
         attempts: Dict[str, int],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Results,
     ) -> None:
         """Retry policy for a chunk whose pool broke underneath it.
 
         Any member may have been the killer, so each is retried alone —
         a poison job then fails only itself on the second break.
         """
-        for job in chunk:
-            digest = job.digest()
-            if attempts[digest] <= POOL_RETRIES:
-                queue.append([job])
+        for entry in chunk:
+            if attempts[entry[0]] <= POOL_RETRIES:
+                queue.append([entry])
             else:
                 self._fail(
-                    results, job,
+                    results, entry,
                     "worker pool broke (worker died mid-job)",
-                    "pool", attempts[digest],
+                    "pool", attempts[entry[0]],
                 )
 
     def _execute_parallel(
         self,
-        pending: List[SimJob],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        pending: List[Entry],
+        results: Results,
+        attempts: Dict[str, int],
         workers: int,
-        sink=None,
+        sink,
     ) -> None:
-        attempts: Dict[str, int] = {job.digest(): 0 for job in pending}
         size = self._chunk_size(len(pending), workers, streaming=sink is not None)
         queue: deque = deque(
             pending[i:i + size] for i in range(0, len(pending), size)
         )
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+        pool = _spawn_pool(workers)
         running: Dict[object, tuple] = {}  # future -> (chunk, start_monotonic)
         try:
             while queue or running:
                 while queue and len(running) < workers:
                     chunk = queue.popleft()
-                    for job in chunk:
-                        attempts[job.digest()] += 1
-                    future = pool.submit(execute_chunk, chunk)
+                    for digest, _job in chunk:
+                        attempts[digest] += 1
+                    future = pool.submit(execute_chunk, [job for _, job in chunk])
                     running[future] = (chunk, time.monotonic())
                 timeout = None
                 if self.job_timeout_s is not None:
@@ -472,31 +459,22 @@ class ParallelRunner:
                     except BrokenProcessPool:
                         broken = True
                         self._requeue_broken(chunk, queue, attempts, results)
+                        continue
                     except Exception as exc:  # noqa: BLE001 - chunk transport
                         # execute_chunk catches per-job errors, so this is
                         # the round-trip itself (e.g. unpicklable result).
-                        for job in chunk:
-                            self._fail(results, job,
-                                       f"{type(exc).__name__}: {exc}",
-                                       "exception", attempts[job.digest()])
-                    else:
-                        for job, (status, payload) in zip(chunk, statuses):
-                            if status == "ok":
-                                self._complete(results, job, payload, sink)
-                            else:
-                                self._fail(results, job, payload,
-                                           "exception", attempts[job.digest()])
+                        error = f"{type(exc).__name__}: {exc}"
+                        statuses = [("error", error)] * len(chunk)
+                    self._complete(results, chunk, statuses, attempts, sink)
                 if broken:
                     # Every in-flight future is doomed with the pool;
                     # drain them under the same retry policy, then respawn.
-                    for future, (chunk, _start) in list(running.items()):
+                    for chunk, _start in running.values():
                         self._requeue_broken(chunk, queue, attempts, results)
                     running.clear()
                     _kill_pool(pool)
                     time.sleep(POOL_RESPAWN_BACKOFF_S)
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, initializer=_worker_init
-                    )
+                    pool = _spawn_pool(workers)
         finally:
             _kill_pool(pool)
 
@@ -507,7 +485,7 @@ class ParallelRunner:
         running: Dict[object, tuple],
         queue: deque,
         attempts: Dict[str, int],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Results,
     ) -> ProcessPoolExecutor:
         """The watchdog fired: fail overdue jobs, requeue the innocent.
 
@@ -524,20 +502,19 @@ class ParallelRunner:
             if now - start >= self.job_timeout_s:
                 # Deterministic simulations do not hang transiently:
                 # retrying would hang again, so time-outs fail outright.
-                for job in chunk:
+                for entry in chunk:
                     self._fail(
-                        results, job,
+                        results, entry,
                         f"exceeded job timeout of {self.job_timeout_s:g}s",
-                        "timeout", attempts[job.digest()],
+                        "timeout", attempts[entry[0]],
                     )
-                del running[future]
             else:
-                for job in chunk:
-                    attempts[job.digest()] -= 1  # innocent victim of teardown
+                for digest, _job in chunk:
+                    attempts[digest] -= 1  # innocent victim of teardown
                 queue.append(chunk)
-                del running[future]
+            del running[future]
         _kill_pool(pool)
-        return ProcessPoolExecutor(max_workers=workers)
+        return _spawn_pool(workers)
 
 
 # ---------------------------------------------------------------------------

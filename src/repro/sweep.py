@@ -25,7 +25,7 @@ from repro.analysis.tables import render_table
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.results import SimResult
-from repro.runner import JobFailure, ParallelRunner, SimJob, get_runner
+from repro.runner import JobFailure, SimJob, get_runner
 from repro.workloads import WorkloadSpec
 
 
@@ -76,11 +76,7 @@ class Sweep:
             config = set_config_field(config, field, value)
         return config
 
-    def run(
-        self,
-        skip_invalid: bool = True,
-        jobs: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
+    def run(self, skip_invalid: bool = True) -> List[Dict[str, Any]]:
         """Simulate every point; returns rows of axis values + metrics.
 
         Points whose configuration cannot be built (e.g. a DRAM fraction
@@ -88,9 +84,9 @@ class Sweep:
         ``skip_invalid`` is set, recorded with ``error`` otherwise.
 
         Valid points are validated up front and dispatched as one batch
-        through the runner, so identical points are simulated once and
-        ``jobs > 1`` spreads the batch over worker processes.  ``jobs``
-        defaults to the ambient runner's worker count.
+        through the ambient runner, so identical points are simulated
+        once and the runner's worker count spreads the batch over worker
+        processes.
         """
         rows: List[Dict[str, Any]] = []
         batch: List[SimJob] = []
@@ -110,14 +106,9 @@ class Sweep:
             batch.append(
                 SimJob(config=config, workload=self.workload, requests=self.requests)
             )
-        runner = get_runner()
-        if jobs is not None and jobs != runner.jobs:
-            runner = ParallelRunner(
-                jobs=jobs, cache=runner.cache, job_timeout_s=runner.job_timeout_s
-            )
         # collect mode: a crashed or timed-out point becomes an error row
         # instead of losing the rest of the sweep.
-        for row, result in zip(slots, runner.run(batch, on_error="collect")):
+        for row, result in zip(slots, get_runner().run(batch, on_error="collect")):
             if isinstance(result, JobFailure):
                 row["error"] = f"{result.kind}: {result.error}"
             else:

@@ -733,6 +733,6 @@ def simulate(
     # Imported here: repro.runner imports repro.system for its workers.
     from repro.runner import SimJob, get_runner
 
-    return get_runner().run_one(
-        SimJob(config=config, workload=workload, requests=requests)
-    )
+    return get_runner().run(
+        [SimJob(config=config, workload=workload, requests=requests)]
+    )[0]

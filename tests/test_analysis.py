@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.runner.job as job_module
 from repro.analysis import SpeedupGrid, breakdown_rows, format_percent, render_table
 from repro.config import SystemConfig
+from repro.runner import ParallelRunner, using_runner
 
 from conftest import fast_workload, small_config
 
@@ -44,9 +46,40 @@ class TestSpeedupGrid:
         )
 
     def test_results_cached(self, grid):
-        first = grid.result("100%-C", grid.workloads[0])
-        second = grid.result("100%-C", grid.workloads[0])
+        name = grid.workloads[0].name
+        first = grid.run(["100%-C"])[name]["100%-C"]
+        second = grid.run(["100%-C"])[name]["100%-C"]
         assert first is second
+
+    def test_speedups_is_one_batch_digested_once(self, monkeypatch):
+        """A grid is one runner call, and each distinct job is digested
+        once: no per-point repeat lookups after the batch, and rendering
+        the speedups simulates nothing again."""
+        batches = []
+        digests = []
+        run = ParallelRunner.run
+        digest_tree = job_module.digest_tree
+
+        def counting_run(runner, batch, *args, **kwargs):
+            batches.append(len(batch))
+            return run(runner, batch, *args, **kwargs)
+
+        def counting_digest(tree):
+            digests.append(tree)
+            return digest_tree(tree)
+
+        monkeypatch.setattr(ParallelRunner, "run", counting_run)
+        monkeypatch.setattr(job_module, "digest_tree", counting_digest)
+        grid = SpeedupGrid(
+            [fast_workload()], requests=100, base_config=small_config()
+        )
+        with using_runner(ParallelRunner(jobs=1)) as runner:
+            speedups = grid.speedups(["100%-T", "100%-R", "100%-C"], "100%-C")
+            grid.render(speedups, ["100%-T", "100%-R"])
+        assert set(speedups["TEST"]) == {"100%-T", "100%-R", "100%-C"}
+        assert batches == [3]
+        assert len(digests) == 3
+        assert runner.simulations_run == 3
 
     def test_baseline_speedup_is_zero(self, grid):
         speedups = grid.speedups(["100%-C"], "100%-C")
@@ -61,7 +94,7 @@ class TestSpeedupGrid:
         assert grid.averages(speedups, ["x"]) == {"x": 15.0}
 
     def test_render_contains_average_row(self, grid):
-        text = grid.render(["100%-T"], "100%-C")
+        text = grid.render(grid.speedups(["100%-T"], "100%-C"), ["100%-T"])
         assert "average" in text
 
     def test_custom_config_fn(self):
@@ -70,7 +103,7 @@ class TestSpeedupGrid:
             requests=100,
             config_fn=lambda label: small_config(topology="tree"),
         )
-        result = grid.result("anything", grid.workloads[0])
+        result = grid.run(["anything"])[grid.workloads[0].name]["anything"]
         assert result.config_label == "100%-T"
 
 
@@ -79,10 +112,8 @@ class TestBreakdownRows:
         grid = SpeedupGrid(
             [fast_workload()], requests=150, base_config=small_config()
         )
-        results = [
-            grid.result("100%-C", grid.workloads[0]),
-            grid.result("100%-T", grid.workloads[0]),
-        ]
+        table = grid.run(["100%-C", "100%-T"])[grid.workloads[0].name]
+        results = [table["100%-C"], table["100%-T"]]
         rows = breakdown_rows(results, normalize_to="100%-C")
         assert rows[0]["config"] == "100%-C"
         assert rows[0]["relative_total"] == pytest.approx(1.0)

@@ -86,7 +86,7 @@ class TestShardingEquivalence:
                 workload=fast_workload(),
                 requests=REQUESTS,
             )
-            independent.fold(shard, "default", solo.run_one(job))
+            independent.fold(shard, "default", solo.run([job])[0])
         assert independent.digest() == streamed.digest()
 
     def test_default_tenant_is_digest_transparent(self):
@@ -367,5 +367,5 @@ class TestShardResultIdentity:
         fleet = small_fleet(2)
         runner = ParallelRunner(jobs=1)
         shard_results = runner.run(fleet.compile())
-        direct = ParallelRunner(jobs=1).run_one(fleet.compile()[1])
+        direct = ParallelRunner(jobs=1).run([fleet.compile()[1]])[0]
         assert result_digest(direct) == result_digest(shard_results[1])

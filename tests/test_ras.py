@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from collections import deque
 
 import pytest
 
@@ -382,6 +383,28 @@ class TestRunnerHardening:
             assert failure.kind == "pool"
             assert failure.attempts == 2  # one retry after the respawn
 
+    def test_watchdog_respawn_runs_worker_init(self, monkeypatch):
+        """A pool respawned by the watchdog pays the worker imports up
+        front, like the first one."""
+        import repro.runner.pool as pool_module
+
+        spawned = []
+
+        class RecordingPool:
+            def __init__(self, **kwargs):
+                spawned.append(kwargs)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingPool)
+        runner = ParallelRunner(jobs=2, cache=ResultCache(), job_timeout_s=1.0)
+        respawned = runner._reap_overdue(RecordingPool(), 2, {}, deque(), {}, {})
+        assert isinstance(respawned, RecordingPool)
+        assert spawned[-1] == {
+            "max_workers": 2, "initializer": pool_module._worker_init,
+        }
+
     def test_bad_jobs_env_warns_once(self, monkeypatch):
         import repro.runner.pool as pool_module
 
@@ -406,3 +429,75 @@ class TestRunnerHardening:
         by_topology = {row["topology"]: row for row in rows}
         assert by_topology["chain"]["error"].startswith("exception:")
         assert by_topology["ring"]["runtime_us"] > 0
+
+
+# ---------------------------------------------------------------------------
+# One dispatch behind both runner entry points
+# ---------------------------------------------------------------------------
+def _through(runner, entry, batch, on_error="raise"):
+    """Run ``batch`` through ``run`` or ``run_fold``; returns rows in
+    input order, each a result, a :class:`JobFailure` or ``None``."""
+    if entry == "run":
+        return runner.run(batch, on_error=on_error)
+    folded = [None] * len(batch)
+
+    def fold(index, job, result):
+        folded[index] = result
+
+    failures = runner.run_fold(batch, fold, on_error=on_error)
+    return [failure or result for failure, result in zip(failures, folded)]
+
+
+@pytest.mark.parametrize("entry", ["run", "run_fold"])
+class TestSharedDispatch:
+    def test_dedupes_identical_jobs(self, entry):
+        runner = ParallelRunner(jobs=1, cache=ResultCache())
+        out = _through(runner, entry, [_good_job(), _good_job(), _good_job()])
+        assert runner.simulations_run == 1
+        assert out[0] is out[1] is out[2]
+
+    def test_collect_returns_structured_failures(self, entry):
+        runner = ParallelRunner(jobs=1, cache=ResultCache())
+        out = _through(runner, entry, [_good_job(), _bad_job()], "collect")
+        assert result_digest(out[0])
+        failure = out[1]
+        assert isinstance(failure, JobFailure)
+        assert failure.kind == "exception"
+        assert "TopologyError" in failure.error
+        assert failure.digest == _bad_job().digest()
+        assert failure.checkpointed == 1
+
+    def test_raise_mode_carries_digest_and_checkpoint(self, entry):
+        runner = ParallelRunner(jobs=1, cache=ResultCache())
+        bad = _bad_job()
+        with pytest.raises(RunnerError) as excinfo:
+            _through(runner, entry, [_good_job(seed=1), bad, _good_job(seed=2)])
+        assert bad.digest()[:12] in str(excinfo.value)
+        assert bad.label() in str(excinfo.value)
+        assert "2 job(s) from the batch are checkpointed" in str(excinfo.value)
+        assert runner.cache.get(_good_job(seed=2).digest()) is not None
+
+    def test_checkpointed_counts_cache_hits(self, entry):
+        cache = ResultCache()
+        ParallelRunner(jobs=1, cache=cache).run([_good_job(seed=1)])
+        runner = ParallelRunner(jobs=1, cache=cache)
+        out = _through(
+            runner, entry, [_good_job(seed=1), _bad_job(), _good_job(seed=2)],
+            "collect",
+        )
+        assert runner.simulations_run == 1
+        assert out[1].checkpointed == 2
+
+    def test_each_job_digested_once_per_batch(self, entry, monkeypatch):
+        calls = []
+        digest = SimJob.digest
+
+        def counting(job):
+            calls.append(job)
+            return digest(job)
+
+        batch = [_good_job(seed=1), _bad_job(), _good_job(seed=1)]
+        monkeypatch.setattr(SimJob, "digest", counting)
+        _through(ParallelRunner(jobs=1, cache=ResultCache()), entry, batch,
+                 "collect")
+        assert len(calls) == len(batch)

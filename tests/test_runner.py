@@ -190,9 +190,9 @@ class TestParallelRunner:
 
     def test_disk_cache_matches_live_run_bitwise(self, tmp_path):
         first = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        live = first.run_one(job())
+        live = first.run([job()])[0]
         second = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        cached = second.run_one(job())
+        cached = second.run([job()])[0]
         assert second.simulations_run == 0
         assert result_digest(cached) == result_digest(live)
 
